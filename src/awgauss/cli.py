@@ -22,16 +22,7 @@ import numpy as np
 
 from . import figures, geodesics, verify
 from .couplings import aw_map, brenier_map, coupling_cost, coupling_pi_p, kr_map, optimal_sign
-from .distances import (
-    abw_distance,
-    aw2,
-    bures_wasserstein,
-    incompleteness_limit,
-    incompleteness_member,
-    kr2,
-    kr_distance,
-    wasserstein2,
-)
+from .distances import aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
 from .errors import AwGaussError
 from .problems import Problem, ProblemFormatError, load_problem, problem_echo
 
@@ -159,16 +150,18 @@ def cmd_dist(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
     sign = optimal_sign(mu.chol, nu.chol)
+    w2, k2, a2 = wasserstein2(mu, nu), kr2(mu, nu), aw2(mu, nu)
     doc = {
         "command": "dist",
         **problem_echo(mu, nu),
-        "w2": wasserstein2(mu, nu).value,
-        "kr2": kr2(mu, nu).value,
-        "aw2": aw2(mu, nu).value,
-        "bw": bures_wasserstein(mu.cov, nu.cov),
-        "d_kr": kr_distance(mu.cov, nu.cov),
-        "d_abw": abw_distance(mu.cov, nu.cov),
-        "mean_term": aw2(mu, nu).mean_term,
+        "w2": w2.value,
+        "kr2": k2.value,
+        "aw2": a2.value,
+        # the covariance terms are the matrix-level distances squared
+        "bw": math.sqrt(w2.cov_term),
+        "d_kr": math.sqrt(k2.cov_term),
+        "d_abw": math.sqrt(a2.cov_term),
+        "mean_term": a2.mean_term,
         "diag_LtM": sign.diag.tolist(),
         "kr_optimal": bool(np.all(sign.rho > 0)),
         "aw_unique": bool(sign.unique),

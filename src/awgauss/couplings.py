@@ -193,9 +193,12 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
-    S = sqrtm(mu.cov)
-    w, V = np.linalg.eigh(S)
-    Sinv = (V / w) @ V.T
+    mu.chol  # positive-definiteness gate, same tolerance policy everywhere
+    w, V = np.linalg.eigh(mu.cov)
+    root_w = np.sqrt(w)
+    S = (V * root_w) @ V.T
+    S = (S + S.T) / 2.0
+    Sinv = (V / root_w) @ V.T
     mid = sqrtm(S @ nu.cov @ S)
     T = Sinv @ mid @ Sinv
     return _affine(mu, nu, (T + T.T) / 2.0, BRENIER)

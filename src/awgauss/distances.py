@@ -30,7 +30,7 @@ from .errors import (
     NonPositiveWeight,
     NumericalInconsistency,
 )
-from .linalg import GaussianSpec, as_spd, as_vector, cholesky, sqrtm
+from .linalg import GaussianSpec, as_vector, cholesky
 
 #: squared distances are mathematically nonnegative; float residue down to
 #: -CLAMP_TOL is clamped to zero, anything lower is treated as a bug
@@ -65,14 +65,6 @@ def _report(mean_term: float, cov_term: float) -> DistanceReport:
     )
 
 
-def _pair(A, B):
-    A = as_spd(A, name="A")
-    B = as_spd(B, name="B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"matrix shapes differ: {A.shape} vs {B.shape}")
-    return A, B
-
-
 def _check_same_dim(mu: GaussianSpec, nu: GaussianSpec):
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
@@ -83,24 +75,65 @@ def _mean_term(mu: GaussianSpec, nu: GaussianSpec) -> float:
     return float(d @ d)
 
 
+def _factor_pair(A, B):
+    """Validated Cholesky factors of two SPD matrices of the same shape."""
+    L, M = cholesky(A), cholesky(B)
+    if L.shape != M.shape:
+        raise DimensionMismatch(f"matrix shapes differ: {L.shape} vs {M.shape}")
+    return L, M
+
+
+def _frobenius_sq(X: np.ndarray) -> float:
+    x = X.ravel()
+    return float(x @ x)
+
+
+# The three covariance terms read only the Cholesky factors L, M: each is
+# Tr A + Tr B - 2 r(L^T M), with r the trace (KR), the l1 norm of the
+# diagonal (AW) or the nuclear norm (W).
+
+
+def _kr_sq(L: np.ndarray, M: np.ndarray) -> float:
+    return _frobenius_sq(L - M)
+
+
+def _abw_sq(L: np.ndarray, M: np.ndarray) -> float:
+    """Sign rule value ``||L - M diag(s)||_F^2``, ``s = sign(diag(L^T M))`` (d < 0 -> -1)."""
+    d = np.sum(L * M, axis=0)  # diag(L^T M)
+    signs = np.where(d < 0.0, -1.0, 1.0)
+    return _frobenius_sq(L - M * signs[None, :])
+
+
+def _bw_sq(L: np.ndarray, M: np.ndarray) -> float:
+    cross = float(np.sum(np.linalg.svd(L.T @ M, compute_uv=False)))
+    return clamp_sq(_frobenius_sq(L) + _frobenius_sq(M) - 2.0 * cross)
+
+
+def _process(mu: GaussianSpec, nu: GaussianSpec, cov_sq) -> DistanceReport:
+    """Mean/covariance split of a process distance, on the cached factors."""
+    _check_same_dim(mu, nu)
+    return _report(_mean_term(mu, nu), cov_sq(mu.chol, nu.chol))
+
+
 def bures_wasserstein(A, B) -> float:
     """Bures-Wasserstein distance between SPD matrices.
 
     ``sqrt(Tr A + Tr B - 2 Tr (A^{1/2} B A^{1/2})^{1/2})``, the covariance
     part of the unconstrained quadratic transport between centered Gaussians.
+    Computed as ``sqrt(Tr A + Tr B - 2 ||L^T M||_*)`` from the Cholesky
+    factors ``L, M``: the singular values of ``L^T M`` are the square roots
+    of the eigenvalues of ``A^{1/2} B A^{1/2}``.
     """
-    A, B = _pair(A, B)
-    S = sqrtm(A)
-    inner = S @ B @ S
-    w = np.linalg.eigvalsh((inner + inner.T) / 2.0)
-    cross = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-    return math.sqrt(clamp_sq(float(np.trace(A) + np.trace(B)) - 2.0 * cross))
+    return math.sqrt(_bw_sq(*_factor_pair(A, B)))
 
 
 def wasserstein2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
-    """Quadratic Wasserstein distance between Gaussian laws (mean/cov split)."""
-    _check_same_dim(mu, nu)
-    return _report(_mean_term(mu, nu), bures_wasserstein(mu.cov, nu.cov) ** 2)
+    """Quadratic Wasserstein distance between Gaussian laws (mean/cov split).
+
+    The covariance term is ``Tr A + Tr B - 2 ||L^T M||_*`` (nuclear norm) on
+    the factors cached on the specs.
+    """
+    return _process(mu, nu, _bw_sq)
 
 
 def kr_distance(A, B) -> float:
@@ -109,14 +142,12 @@ def kr_distance(A, B) -> float:
     Equals ``sqrt(Tr A + Tr B - 2 Tr(L^T M))``; the Cholesky map is an
     isometry onto lower-triangular matrices under the Frobenius norm.
     """
-    A, B = _pair(A, B)
-    return float(np.linalg.norm(cholesky(A) - cholesky(B)))
+    return math.sqrt(_kr_sq(*_factor_pair(A, B)))
 
 
 def kr2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
     """Cost of the synchronous coupling between Gaussian laws (mean/cov split)."""
-    _check_same_dim(mu, nu)
-    return _report(_mean_term(mu, nu), kr_distance(mu.cov, nu.cov) ** 2)
+    return _process(mu, nu, _kr_sq)
 
 
 def abw_distance(A, B) -> float:
@@ -141,12 +172,7 @@ def abw_distance(A, B) -> float:
     equals the trace expression identically but, being a sum of squares, has
     no cancellation: identical inputs give exactly zero.
     """
-    A, B = _pair(A, B)
-    L = cholesky(A)
-    M = cholesky(B)
-    d = np.sum(L * M, axis=0)  # diag(L^T M)
-    signs = np.where(d < 0.0, -1.0, 1.0)
-    return float(np.linalg.norm(L - M * signs[None, :]))
+    return math.sqrt(_abw_sq(*_factor_pair(A, B)))
 
 
 def aw2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
@@ -154,8 +180,7 @@ def aw2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
 
     ``aw2(mu, nu)^2 = ||a - b||^2 + abw_distance(A, B)^2``.
     """
-    _check_same_dim(mu, nu)
-    return _report(_mean_term(mu, nu), abw_distance(mu.cov, nu.cov) ** 2)
+    return _process(mu, nu, _abw_sq)
 
 
 def as_weights(w, *, dim: int | None = None) -> np.ndarray:
@@ -183,12 +208,7 @@ def weighted_bicausal_value(mu: GaussianSpec, nu: GaussianSpec, weights) -> floa
     # absorb the weights into the factors; the same cancellation-free
     # sum-of-squares form as abw_distance then applies
     root_w = np.sqrt(w)[:, None]
-    Lw = root_w * mu.chol
-    Mw = root_w * nu.chol
-    diag = np.sum(Lw * Mw, axis=0)  # = diag(L^T W M)
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    value = float(d @ (w * d)) + float(np.sum((Lw - Mw * signs[None, :]) ** 2))
-    return value
+    return float(d @ (w * d)) + _abw_sq(root_w * mu.chol, root_w * nu.chol)
 
 
 def _check_angle(theta: float, name: str) -> float:

@@ -8,8 +8,11 @@ from awgauss import (
     DimensionMismatch,
     GaussianSpec,
     NonPositiveWeight,
+    NotPositiveDefinite,
     abw_distance,
     aw2,
+    aw_map,
+    brenier_map,
     bures_wasserstein,
     cholesky,
     incompleteness_limit,
@@ -28,6 +31,31 @@ from awgauss import (
 def _random_pair(dim, seed):
     rng = np.random.default_rng(seed)
     return random_gaussian(dim, rng), random_gaussian(dim, rng)
+
+
+def _spec_pairs(dim, seed, count=5):
+    """Covariance-built pairs and pairs built with GaussianSpec.from_cholesky."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield random_gaussian(dim, rng), random_gaussian(dim, rng)
+        yield tuple(
+            GaussianSpec.from_cholesky(rng.standard_normal(dim), cholesky(random_spd(dim, rng)))
+            for _ in range(2)
+        )
+
+
+def seed_bures_wasserstein_sq(A, B):
+    """Reference: Tr A + Tr B - 2 Tr (A^{1/2} B A^{1/2})^{1/2} by eigendecompositions."""
+    w, V = np.linalg.eigh(A)
+    S = (V * np.sqrt(w)) @ V.T
+    S = (S + S.T) / 2.0
+    inner = S @ B @ S
+    ev = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    return float(np.trace(A) + np.trace(B)) - 2.0 * float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
 
 
 def perturb_keeping_positive_diag(A, rng, start=1e-2):
@@ -90,6 +118,13 @@ class TestWasserstein2:
         assert rep.value == pytest.approx(math.sqrt(rep.squared_value))
         assert rep.squared_value == pytest.approx(rep.mean_term + rep.cov_term)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_matches_eigendecomposition_formula(self, dim):
+        # nuclear norm of L^T M against the A^{1/2} B A^{1/2} route
+        for mu, nu in _spec_pairs(dim, 300 + dim):
+            got = wasserstein2(mu, nu).cov_term
+            assert _rel(got, seed_bures_wasserstein_sq(mu.cov, nu.cov)) <= 1e-10
+
 
 class TestKrDistance:
     def test_identical(self):
@@ -112,6 +147,11 @@ class TestKrDistance:
             trace_sq = np.trace(A) + np.trace(B) - 2.0 * np.trace(L.T @ M)
             assert abs(frob_sq - trace_sq) <= 1e-9 * max(1.0, abs(trace_sq))
 
+    def test_identical_specs_exactly_zero(self):
+        for mu, _ in _spec_pairs(4, 11, count=3):
+            rep = kr2(mu, mu)
+            assert rep.squared_value == 0.0 and rep.value == 0.0
+
     def test_cholesky_isometry(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -123,6 +163,11 @@ class TestAbwDistance:
     def test_identical(self):
         A = random_spd(4, np.random.default_rng(2))
         assert abw_distance(A, A) == 0.0
+
+    def test_identical_specs_exactly_zero(self):
+        for mu, _ in _spec_pairs(4, 12, count=3):
+            rep = aw2(mu, mu)
+            assert rep.squared_value == 0.0 and rep.value == 0.0
 
     def test_reflected_pair(self, reflected_pair):
         mu, nu = reflected_pair
@@ -152,6 +197,51 @@ class TestAbwDistance:
         for _ in range(300):
             A, B, C = (random_spd(3, rng) for _ in range(3))
             assert abw_distance(A, C) <= abw_distance(A, B) + abw_distance(B, C) + 1e-9
+
+
+class TestSpecLevelMatchesMatrixLevel:
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_cov_terms_agree(self, dim):
+        for mu, nu in _spec_pairs(dim, 200 + dim):
+            for spec_level, matrix_level in (
+                (aw2, abw_distance),
+                (kr2, kr_distance),
+                (wasserstein2, bures_wasserstein),
+            ):
+                got = spec_level(mu, nu).cov_term
+                assert _rel(got, matrix_level(mu.cov, nu.cov) ** 2) <= 1e-12
+
+    def test_not_positive_definite_spec_raises(self):
+        good = GaussianSpec(np.zeros(2), np.eye(2))
+        bad = GaussianSpec(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        for fn in (aw2, kr2, wasserstein2, brenier_map):
+            for pair in ((bad, good), (good, bad)):
+                with pytest.raises(NotPositiveDefinite):
+                    fn(*pair)
+
+    def test_one_factorization_per_law(self, monkeypatch):
+        calls = {"cholesky": 0, "eigh": 0}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        rng = np.random.default_rng(5)
+        mu = GaussianSpec(rng.standard_normal(4), random_spd(4, rng))
+        nu = GaussianSpec(rng.standard_normal(4), random_spd(4, rng))
+        aw2(mu, nu)
+        kr2(mu, nu)
+        wasserstein2(mu, nu)
+        weighted_bicausal_value(mu, nu, np.arange(1.0, 5.0))
+        aw_map(mu, nu)
+        assert calls == {"cholesky": 2, "eigh": 0}
 
 
 class TestOrdering:
