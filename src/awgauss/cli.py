@@ -21,20 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import figures, geodesics, verify
-from .couplings import aw_map, brenier_map, coupling_cost, coupling_pi_p, kr_map, optimal_sign
+from .couplings import coupling_cost, coupling_pi_p, optimal_sign
 from .distances import aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
 from .errors import AwGaussError
-from .problems import Problem, ProblemFormatError, load_problem, problem_echo
+from .problems import ProblemFormatError, load_problem, problem_echo
 
+_W, _KR, _AW = geodesics.WASSERSTEIN, geodesics.KNOTHE_ROSENBLATT, geodesics.ADAPTED
 _MAP_ALIASES = {
-    "w": "w", "wasserstein": "w", "brenier": "w",
-    "kr": "kr", "knothe-rosenblatt": "kr", "knothe_rosenblatt": "kr",
-    "aw": "aw", "adapted": "aw", "adapted-wasserstein": "aw",
-}
-_GEODESIC_FOR_MAP = {
-    "w": geodesics.WASSERSTEIN,
-    "kr": geodesics.KNOTHE_ROSENBLATT,
-    "aw": geodesics.ADAPTED,
+    "w": _W, "wasserstein": _W, "brenier": _W,
+    "kr": _KR, "knothe-rosenblatt": _KR, "knothe_rosenblatt": _KR,
+    "aw": _AW, "adapted": _AW, "adapted-wasserstein": _AW,
 }
 
 
@@ -138,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _transport(problem: Problem, kind: str):
-    if kind == "w":
-        return brenier_map(problem.mu, problem.nu)
-    if kind == "kr":
-        return kr_map(problem.mu, problem.nu)
-    return aw_map(problem.mu, problem.nu).map
-
-
 def cmd_dist(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
@@ -173,7 +161,7 @@ def cmd_dist(args) -> tuple[dict, int]:
 def cmd_coupling(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
-    transport = _transport(problem, args.map)
+    transport = geodesics.transport_for_kind(mu, nu, args.map)
     sign = optimal_sign(mu.chol, nu.chol)
     rho = args.rho if args.rho is not None else problem.rho
     rho_used = np.asarray(rho, dtype=float) if rho is not None else sign.rho
@@ -202,7 +190,7 @@ def cmd_coupling(args) -> tuple[dict, int]:
 
 def cmd_geodesic(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
-    kind = _GEODESIC_FOR_MAP[args.kind]
+    kind = args.kind
     if args.t is not None:
         ts = [args.t]
     else:
@@ -299,7 +287,7 @@ def cmd_figure(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     out = args.output if args.output is not None else Path("figure.svg")
     if args.kind == figures.CONTOUR_TRANSPORT:
-        transport = _transport(problem, args.map)
+        transport = geodesics.transport_for_kind(problem.mu, problem.nu, args.map)
         svg, data = figures.contour_transport_figure(
             problem.mu, problem.nu, transport, out, grid_lines=args.grid_lines
         )

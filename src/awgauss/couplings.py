@@ -15,17 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .distances import FREE_TOL, _sign_rule, as_weights  # noqa: F401  (FREE_TOL re-exported)
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
-from .linalg import GaussianSpec, as_vector, check_split, conditional, sqrtm
-
-#: |diag(L^T M)_t| at or below FREE_TOL * ||L||_F * ||M||_F counts as zero,
-#: i.e. the correlation at time t is a free (non-unique) direction
-FREE_TOL = 1e-12
+from .linalg import GaussianSpec, as_vector, check_same_dim, check_split, conditional, sqrtm
 
 BRENIER = "brenier"
 KNOTHE_ROSENBLATT = "knothe_rosenblatt"
 ADAPTED_WASSERSTEIN = "adapted_wasserstein"
-MAP_KINDS = (BRENIER, KNOTHE_ROSENBLATT, ADAPTED_WASSERSTEIN)
 
 
 def as_correlations(rho, *, dim: int | None = None) -> np.ndarray:
@@ -41,11 +37,13 @@ class SignSelection:
     """Optimal per-time correlation signs for a pair of Cholesky factors.
 
     ``rho[t] = sign(diag(L^T M)_t)`` wherever that diagonal entry is nonzero;
-    entries within ``FREE_TOL`` of zero leave the cost unchanged in that
-    direction, default to +1 (the synchronous choice), and are reported in
-    ``free_indices`` (1-based time indices).  ``unique`` is true iff there are
-    no free indices.  The last entry is always +1 since
-    ``diag(L^T M)_N = L_NN M_NN > 0``.
+    entries within ``FREE_TOL * ||L||_F ||M||_F`` of zero leave the cost
+    unchanged in that direction, default to +1 (the synchronous choice), and
+    are reported in ``free_indices`` (1-based time indices).  ``unique`` is
+    true iff there are no free indices.  The last entry is always +1 since
+    ``diag(L^T M)_N = L_NN M_NN > 0``.  The same rule, with the same band,
+    gives the values of ``aw2``, ``abw_distance`` and
+    ``weighted_bicausal_value``.
     """
 
     rho: np.ndarray
@@ -63,25 +61,18 @@ def optimal_sign(L, M, *, weights=None) -> SignSelection:
         Lower-triangular Cholesky factors of the two covariances.
     weights : array-like, shape (N,), optional
         Strictly positive per-time cost weights; the rule then reads
-        ``diag(L^T W M)`` instead of ``diag(L^T M)``.  Rescaling all weights
+        ``diag(L^T W M)`` instead of ``diag(L^T M)``, i.e. the plain rule on
+        the factors ``W^{1/2} L`` and ``W^{1/2} M``.  Rescaling all weights
         by a positive constant leaves the selection unchanged.
     """
     L = np.asarray(L, dtype=float)
     M = np.asarray(M, dtype=float)
     if L.shape != M.shape or L.ndim != 2:
         raise DimensionMismatch(f"factor shapes differ: {L.shape} vs {M.shape}")
-    if weights is None:
-        d = np.sum(L * M, axis=0)
-        scale = float(np.linalg.norm(L) * np.linalg.norm(M))
-    else:
-        w = as_vector(weights, dim=L.shape[0], name="weights")
-        d = np.sum(w[:, None] * L * M, axis=0)
-        scale = float(
-            np.linalg.norm(np.sqrt(w)[:, None] * L) * np.linalg.norm(np.sqrt(w)[:, None] * M)
-        )
-    tol = FREE_TOL * scale
-    free = np.abs(d) <= tol
-    rho = np.where(d > tol, 1.0, np.where(d < -tol, -1.0, 1.0))
+    if weights is not None:
+        root_w = np.sqrt(as_weights(weights, dim=L.shape[0]))[:, None]
+        L, M = root_w * L, root_w * M
+    d, rho, free = _sign_rule(L, M)
     free_indices = tuple(int(i) + 1 for i in np.flatnonzero(free))
     return SignSelection(
         rho=rho, free_indices=free_indices, unique=not free_indices, diag=d
@@ -127,8 +118,7 @@ def coupling_pi_p(mu: GaussianSpec, nu: GaussianSpec, rho) -> JointGaussianCoupl
     noises satisfy ``Corr(eps^X_t, eps^Y_t) = rho_t`` and are independent
     across times.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
+    check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
     L, M = mu.chol, nu.chol
     cross = (L * r[None, :]) @ M.T
@@ -151,8 +141,7 @@ def coupling_cost(mu: GaussianSpec, nu: GaussianSpec, rho) -> float:
     minimized over ``rho`` by :func:`optimal_sign`, where it equals the
     squared adapted distance.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
+    check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
     d = np.sum(mu.chol * nu.chol, axis=0)
     diff = mu.mean - nu.mean
@@ -191,8 +180,7 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     definite (a convex gradient).  Each output coordinate generally reads the
     whole input path, which is exactly what the bicausal constraint forbids.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
+    check_same_dim(mu, nu)
     mu.chol  # positive-definiteness gate, same tolerance policy everywhere
     w, V = np.linalg.eigh(mu.cov)
     root_w = np.sqrt(w)
@@ -210,8 +198,7 @@ def kr_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     The matrix is lower triangular with positive diagonal: each output
     coordinate depends on the input only through its past.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
+    check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
     T = np.tril(solve_triangular(L.T, M.T, lower=False).T)
     return _affine(mu, nu, T, KNOTHE_ROSENBLATT)
@@ -243,8 +230,7 @@ def aw_map(mu: GaussianSpec, nu: GaussianSpec) -> AdaptedMapResult:
     bicausal coupling, and is the unique one iff no diagonal entry of
     ``L^T M`` vanishes.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
+    check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
     sign = optimal_sign(L, M)
     T = np.tril(solve_triangular(L.T, (M * sign.rho[None, :]).T, lower=False).T)
@@ -263,8 +249,7 @@ def condition_coupling(
     representation instead of inverting the (possibly singular) joint
     covariance.
     """
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
+    check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
     t = check_split(t, mu.dim)
     cond_mu = conditional(mu, t, x_past)

@@ -30,11 +30,14 @@ from .errors import (
     NonPositiveWeight,
     NumericalInconsistency,
 )
-from .linalg import GaussianSpec, as_vector, cholesky
+from .linalg import GaussianSpec, as_vector, check_same_dim, cholesky
 
 #: squared distances are mathematically nonnegative; float residue down to
 #: -CLAMP_TOL is clamped to zero, anything lower is treated as a bug
 CLAMP_TOL = 1e-9
+#: |diag(L^T M)_t| at or below FREE_TOL * ||L||_F * ||M||_F counts as zero,
+#: i.e. the correlation at time t is a free (non-unique) direction
+FREE_TOL = 1e-12
 
 
 def clamp_sq(value: float, *, what: str = "squared distance") -> float:
@@ -65,11 +68,6 @@ def _report(mean_term: float, cov_term: float) -> DistanceReport:
     )
 
 
-def _check_same_dim(mu: GaussianSpec, nu: GaussianSpec):
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
-
-
 def _mean_term(mu: GaussianSpec, nu: GaussianSpec) -> float:
     d = mu.mean - nu.mean
     return float(d @ d)
@@ -97,11 +95,22 @@ def _kr_sq(L: np.ndarray, M: np.ndarray) -> float:
     return _frobenius_sq(L - M)
 
 
+def _sign_rule(L: np.ndarray, M: np.ndarray):
+    """The sign rule on a factor pair: ``(d, rho, free)`` with ``d = diag(L^T M)``.
+
+    ``rho_t = sign(d_t)``, except that ``|d_t| <= FREE_TOL * ||L||_F ||M||_F``
+    is a free index (the cost does not depend on ``rho_t``) and takes +1.
+    """
+    d = np.sum(L * M, axis=0)
+    free = np.abs(d) <= FREE_TOL * math.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
+    rho = np.where(free | (d > 0.0), 1.0, -1.0)
+    return d, rho, free
+
+
 def _abw_sq(L: np.ndarray, M: np.ndarray) -> float:
-    """Sign rule value ``||L - M diag(s)||_F^2``, ``s = sign(diag(L^T M))`` (d < 0 -> -1)."""
-    d = np.sum(L * M, axis=0)  # diag(L^T M)
-    signs = np.where(d < 0.0, -1.0, 1.0)
-    return _frobenius_sq(L - M * signs[None, :])
+    """Sign-rule value ``||L - M diag(rho)||_F^2``, ``rho`` from :func:`_sign_rule`."""
+    _, rho, _ = _sign_rule(L, M)
+    return _frobenius_sq(L - M * rho[None, :])
 
 
 def _bw_sq(L: np.ndarray, M: np.ndarray) -> float:
@@ -111,7 +120,7 @@ def _bw_sq(L: np.ndarray, M: np.ndarray) -> float:
 
 def _process(mu: GaussianSpec, nu: GaussianSpec, cov_sq) -> DistanceReport:
     """Mean/covariance split of a process distance, on the cached factors."""
-    _check_same_dim(mu, nu)
+    check_same_dim(mu, nu)
     return _report(_mean_term(mu, nu), cov_sq(mu.chol, nu.chol))
 
 
@@ -163,14 +172,17 @@ def abw_distance(A, B) -> float:
     float
         ``sqrt(Tr A + Tr B - 2 ||diag(L^T M)||_1)`` where ``L, M`` are the
         Cholesky factors.  Differs from :func:`kr_distance` exactly by
-        ``4 * sum of the negative entries of diag(L^T M)`` under the square
-        root, and coincides with it whenever that diagonal is nonnegative.
+        ``4 * sum of |d_t|`` under the square root, over the entries ``d_t``
+        of ``diag(L^T M)`` below the tie band ``-FREE_TOL * ||L||_F ||M||_F``,
+        and coincides with it when no entry is below the band.
 
     Notes
     -----
-    Computed as ``||L - M P||_F`` with ``P = diag(sign(diag(L^T M)))``, which
-    equals the trace expression identically but, being a sum of squares, has
-    no cancellation: identical inputs give exactly zero.
+    Computed as ``||L - M P||_F`` with ``P = diag(rho)`` from the sign rule
+    shared with :func:`~awgauss.couplings.optimal_sign` (entries inside the
+    tie band take +1), which equals the trace expression up to that band but,
+    being a sum of squares, has no cancellation: identical inputs give exactly
+    zero.
     """
     return math.sqrt(_abw_sq(*_factor_pair(A, B)))
 
@@ -202,7 +214,7 @@ def weighted_bicausal_value(mu: GaussianSpec, nu: GaussianSpec, weights) -> floa
     ``w = 1``.  The optimal per-time correlations are the signs of
     ``diag(L^T W M)``.
     """
-    _check_same_dim(mu, nu)
+    check_same_dim(mu, nu)
     w = as_weights(weights, dim=mu.dim)
     d = mu.mean - nu.mean
     # absorb the weights into the factors; the same cancellation-free

@@ -14,15 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import couplings
-from .distances import DistanceReport, aw2, kr2, wasserstein2
-from .errors import BadParameter, DimensionMismatch
-from .linalg import PD_TOL, GaussianSpec
+from . import couplings, distances
+from .errors import BadParameter
+from .linalg import PD_TOL, GaussianSpec, check_same_dim
 
 WASSERSTEIN = "wasserstein"
 KNOTHE_ROSENBLATT = "knothe_rosenblatt"
 ADAPTED = "adapted"
-GEODESIC_KINDS = (WASSERSTEIN, KNOTHE_ROSENBLATT, ADAPTED)
+
+#: kind -> (transport map whose linear part drives the curve, distance the
+#: curve has constant speed in).  The entries call through the module
+#: attributes, so a function rebound there (a test double, a tracer) is used.
+_GEOMETRIES = {
+    WASSERSTEIN: (
+        lambda mu, nu: couplings.brenier_map(mu, nu),
+        lambda mu, nu: distances.wasserstein2(mu, nu),
+    ),
+    KNOTHE_ROSENBLATT: (
+        lambda mu, nu: couplings.kr_map(mu, nu),
+        lambda mu, nu: distances.kr2(mu, nu),
+    ),
+    ADAPTED: (
+        # canonical +1 tie-break on free indices; curve not unique there
+        lambda mu, nu: couplings.aw_map(mu, nu).map,
+        lambda mu, nu: distances.aw2(mu, nu),
+    ),
+}
+GEODESIC_KINDS = tuple(_GEOMETRIES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,24 +59,26 @@ class GeodesicPoint:
     min_eigenvalue: float
 
 
+def _geometry(kind: str):
+    try:
+        return _GEOMETRIES[kind]
+    except KeyError:
+        raise BadParameter(
+            f"unknown geodesic kind {kind!r}; expected one of {GEODESIC_KINDS}"
+        ) from None
+
+
 def transport_for_kind(mu0: GaussianSpec, mu1: GaussianSpec, kind: str):
     """Transport map whose linear part drives the interpolation of ``kind``."""
-    if kind == WASSERSTEIN:
-        return couplings.brenier_map(mu0, mu1)
-    if kind == KNOTHE_ROSENBLATT:
-        return couplings.kr_map(mu0, mu1)
-    if kind == ADAPTED:
-        # canonical +1 tie-break on free indices; curve not unique there
-        return couplings.aw_map(mu0, mu1).map
-    raise BadParameter(f"unknown geodesic kind {kind!r}; expected one of {GEODESIC_KINDS}")
+    transport, _ = _geometry(kind)
+    return transport(mu0, mu1)
 
 
 def geodesic_point(
     mu0: GaussianSpec, mu1: GaussianSpec, t: float, kind: str
 ) -> GeodesicPoint:
     """Point of the ``kind`` interpolation curve at parameter ``t`` in [0, 1]."""
-    if mu0.dim != mu1.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu0.dim} and {mu1.dim}")
+    check_same_dim(mu0, mu1)
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise BadParameter(f"interpolation parameter t={t!r} outside [0, 1]")
@@ -96,21 +116,12 @@ class GeodesicCheckReport:
     abs_difference: float | None
 
 
-def _distance_for_kind(kind: str, mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
-    if kind == WASSERSTEIN:
-        return wasserstein2(mu, nu)
-    if kind == KNOTHE_ROSENBLATT:
-        return kr2(mu, nu)
-    if kind == ADAPTED:
-        return aw2(mu, nu)
-    raise BadParameter(f"unknown geodesic kind {kind!r}; expected one of {GEODESIC_KINDS}")
-
-
 def geodesic_check(
     mu0: GaussianSpec, mu1: GaussianSpec, kind: str, s: float, t: float
 ) -> GeodesicCheckReport:
     """Compare the distance between two curve points with the scaled endpoint
     distance under the metric matching ``kind``."""
+    _, distance = _geometry(kind)
     ps = geodesic_point(mu0, mu1, s, kind)
     pt = geodesic_point(mu0, mu1, t, kind)
     if ps.degenerate or pt.degenerate:
@@ -123,8 +134,8 @@ def geodesic_check(
             scaled_endpoint_distance=None,
             abs_difference=None,
         )
-    lhs = _distance_for_kind(kind, GaussianSpec(ps.mean, ps.cov), GaussianSpec(pt.mean, pt.cov)).value
-    rhs = abs(ps.t - pt.t) * _distance_for_kind(kind, mu0, mu1).value
+    lhs = distance(GaussianSpec(ps.mean, ps.cov), GaussianSpec(pt.mean, pt.cov)).value
+    rhs = abs(ps.t - pt.t) * distance(mu0, mu1).value
     return GeodesicCheckReport(
         status=OK,
         kind=kind,

@@ -187,6 +187,12 @@ class GaussianSpec:
         return spec
 
 
+def check_same_dim(mu: GaussianSpec, nu: GaussianSpec) -> None:
+    """Raise :class:`DimensionMismatch` unless the two laws share a dimension."""
+    if mu.dim != nu.dim:
+        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
+
+
 def check_split(t: int, dim: int, *, allow_ends: bool = False) -> int:
     """Validate a past/future split point ``t`` against dimension ``dim``."""
     t = int(t)

@@ -28,17 +28,13 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtri, roots_hermitenorm
 
 from .couplings import as_correlations, coupling_cost
-from .errors import BadParameter, BadSplit, DimensionMismatch, TooLarge
-from .linalg import GaussianSpec, as_vector, check_split
+from .distances import _abw_sq
+from .errors import BadParameter, BadSplit, TooLarge
+from .linalg import GaussianSpec, as_vector, check_same_dim, check_split
 
 #: hard cap on the number of past paths per marginal in the discrete solver;
 #: the value-function table has the square of this many entries
 MAX_PAST_PATHS = 4096
-
-
-def _check_pair(mu: GaussianSpec, nu: GaussianSpec):
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"laws have dimensions {mu.dim} and {nu.dim}")
 
 
 def _value_batch(mu: GaussianSpec, nu: GaussianSpec, t: int, X, Y) -> np.ndarray:
@@ -58,11 +54,7 @@ def _value_batch(mu: GaussianSpec, nu: GaussianSpec, t: int, X, Y) -> np.ndarray
         cmx = np.broadcast_to(a, (n, mu.dim))
         cmy = np.broadcast_to(b, (n, nu.dim))
     cross = np.sum((cmx - cmy) ** 2, axis=1)
-    Lf, Mf = L[t:, t:], M[t:, t:]
-    dtail = np.sum(Lf * Mf, axis=0)
-    signs = np.where(dtail < 0.0, -1.0, 1.0)
-    tail = float(np.sum((Lf - Mf * signs[None, :]) ** 2))
-    return past + cross + tail
+    return past + cross + _abw_sq(L[t:, t:], M[t:, t:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +87,7 @@ def value_function(
     blocks; means are handled by recentring, so at ``t = 0`` this is exactly
     the squared adapted distance between ``mu`` and ``nu``.
     """
-    _check_pair(mu, nu)
+    check_same_dim(mu, nu)
     t = check_split(t, mu.dim, allow_ends=True)
     x = as_vector(x_past, dim=t, name="x_past") if t else np.zeros(0)
     y = as_vector(y_past, dim=t, name="y_past") if t else np.zeros(0)
@@ -140,7 +132,7 @@ def dpp_recursion_check(
         quadratic polynomial of the shared standard normal driver, so the
         quadrature is exact and ``quad`` only guards against misuse.
     """
-    _check_pair(mu, nu)
+    check_same_dim(mu, nu)
     t = check_split(t, mu.dim, allow_ends=True)
     if t >= mu.dim:
         raise BadSplit(f"recursion step needs t < N, got t={t}, N={mu.dim}")
@@ -253,7 +245,7 @@ def dpp_solve_discrete(
         Seed for the assignment subsampling; the result is deterministic for
         a fixed seed.
     """
-    _check_pair(mu, nu)
+    check_same_dim(mu, nu)
     N = mu.dim
     if N > 3:
         raise TooLarge(f"discrete solver supports N <= 3, got N={N}")
@@ -331,7 +323,7 @@ def monte_carlo_cost(
     ``weights`` is given) and its standard error.  Deterministic for a fixed
     seed.
     """
-    _check_pair(mu, nu)
+    check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
     n = int(n)
     if n < 1000:
@@ -367,7 +359,7 @@ def rho_grid_search(mu: GaussianSpec, nu: GaussianSpec, steps: int) -> RhoGridRe
     closed-form cost.  Off the free indices the optimum sits at the box
     endpoints, so the grid recovers the sign rule exactly.
     """
-    _check_pair(mu, nu)
+    check_same_dim(mu, nu)
     steps = int(steps)
     if steps < 3:
         raise BadParameter(f"grid needs at least 3 steps per axis, got {steps}")

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import GaussianSpec
+from .linalg import GaussianSpec, check_same_dim
 
 
 class ProblemFormatError(Exception):
@@ -83,8 +83,7 @@ def parse_problem(doc) -> Problem:
             raise ProblemFormatError(f"problem document missing '{key}'")
     mu = parse_gaussian(doc["mu"], where="mu")
     nu = parse_gaussian(doc["nu"], where="nu")
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"mu has dimension {mu.dim} but nu has {nu.dim}")
+    check_same_dim(mu, nu)
     weights = None
     if doc.get("weights") is not None:
         weights = _numeric_array(doc["weights"], ndim=1, where="weights")

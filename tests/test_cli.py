@@ -104,6 +104,24 @@ class TestCoupling:
             np.array(doc["joint_cov"])[:2, 2:], [[1.0, -2.0], [2.0, -3.0]], atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "aliases, map_kind, geodesic_kind",
+        [
+            (("w", "wasserstein", "brenier"), "brenier", "wasserstein"),
+            (("kr", "knothe-rosenblatt", "knothe_rosenblatt"), "knothe_rosenblatt", "knothe_rosenblatt"),
+            (("aw", "adapted", "adapted-wasserstein"), "adapted_wasserstein", "adapted"),
+        ],
+    )
+    def test_map_aliases_pin_kind(self, tmp_path, capsys, aliases, map_kind, geodesic_kind):
+        path = _write(tmp_path, REFLECTED)
+        for alias in aliases:
+            code, doc = _run(capsys, ["coupling", path, "--map", alias])
+            assert code == 0
+            assert doc["map"]["kind"] == map_kind
+            code, doc = _run(capsys, ["geodesic", path, "--kind", alias, "--t", "0.25"])
+            assert code == 0
+            assert doc["kind"] == geodesic_kind
+
     def test_kr_and_w_maps(self, tmp_path, capsys):
         path = _write(tmp_path, REFLECTED)
         _, kr_doc = _run(capsys, ["coupling", path, "--map", "kr"])

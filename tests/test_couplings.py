@@ -4,6 +4,7 @@ import pytest
 from awgauss import (
     BadCorrelation,
     GaussianSpec,
+    NonPositiveWeight,
     aw2,
     aw_map,
     brenier_map,
@@ -65,6 +66,12 @@ class TestOptimalSign:
             s2 = optimal_sign(mu.chol, nu.chol, weights=7.5 * w)
             np.testing.assert_array_equal(s1.rho, s2.rho)
             assert s1.free_indices == s2.free_indices
+
+    @pytest.mark.parametrize("weights", [[-1.0, 1.0], [0.0, 1.0]])
+    def test_rejects_nonpositive_weights(self, reflected_pair, weights):
+        mu, nu = reflected_pair
+        with pytest.raises(NonPositiveWeight):
+            optimal_sign(mu.chol, nu.chol, weights=weights)
 
 
 class TestCouplingPiP:

@@ -15,6 +15,7 @@ from awgauss import (
     brenier_map,
     bures_wasserstein,
     cholesky,
+    coupling_cost,
     incompleteness_limit,
     incompleteness_member,
     kr2,
@@ -184,6 +185,20 @@ class TestAbwDistance:
             lhs = abw_distance(A, B) ** 2
             rhs = kr_distance(A, B) ** 2 - 4.0 * neg
             assert abs(lhs - rhs) <= 1e-9
+
+    def test_near_tie_value_is_cost_of_reported_coupling(self):
+        # diag(L^T M)_1 = -1e-14 lies inside the tie band: the value, the
+        # signs and the free indices must all come from the same rule
+        L = np.array([[1.0, 0.0], [1.0, 1.0]])
+        M = np.array([[1.0, 0.0], [-1.0 - 1e-14, 1.0]])
+        mu = GaussianSpec.from_cholesky(np.zeros(2), L)
+        nu = GaussianSpec.from_cholesky(np.zeros(2), M)
+        sign = optimal_sign(L, M)
+        assert sign.free_indices == (1,)
+        value = aw2(mu, nu).squared_value
+        residual = (L - M * sign.rho[None, :]).ravel()
+        assert value == float(residual @ residual)
+        assert _rel(value, coupling_cost(mu, nu, sign.rho)) <= 1e-15
 
     def test_symmetry_and_positivity(self):
         rng = np.random.default_rng(3)

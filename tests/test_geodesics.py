@@ -65,6 +65,8 @@ class TestGeodesicPoint:
                 geodesic_point(mu, nu, bad, ADAPTED)
         with pytest.raises(BadParameter):
             geodesic_point(mu, nu, 0.5, "nonsense")
+        with pytest.raises(BadParameter):
+            geodesic_check(mu, nu, "nonsense", 0.2, 0.7)
 
     def test_adapted_equals_kr_when_no_reflection(self):
         mu, nu = _positive_diag_pair(3, 5)
