@@ -17,7 +17,9 @@ from scipy.linalg import solve_triangular
 
 from .distances import FREE_TOL, _sign_rule, as_weights  # noqa: F401  (FREE_TOL re-exported)
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
-from .linalg import GaussianSpec, as_vector, check_same_dim, check_split, conditional, sqrtm
+from .linalg import (
+    GaussianSpec, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional, sqrtm,
+)
 
 BRENIER = "brenier"
 KNOTHE_ROSENBLATT = "knothe_rosenblatt"
@@ -58,20 +60,27 @@ def optimal_sign(L, M, *, weights=None) -> SignSelection:
     Parameters
     ----------
     L, M : array-like, shape (N, N)
-        Lower-triangular Cholesky factors of the two covariances.
+        Lower-triangular Cholesky factors of the two covariances, validated
+        by :func:`~awgauss.linalg.as_cholesky_factor` (finite, zero strict
+        upper triangle, strictly positive diagonal).
     weights : array-like, shape (N,), optional
         Strictly positive per-time cost weights; the rule then reads
         ``diag(L^T W M)`` instead of ``diag(L^T M)``, i.e. the plain rule on
         the factors ``W^{1/2} L`` and ``W^{1/2} M``.  Rescaling all weights
         by a positive constant leaves the selection unchanged.
     """
-    L = np.asarray(L, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if L.shape != M.shape or L.ndim != 2:
+    L = as_cholesky_factor(L, name="L")
+    M = as_cholesky_factor(M, name="M")
+    if L.shape != M.shape:
         raise DimensionMismatch(f"factor shapes differ: {L.shape} vs {M.shape}")
     if weights is not None:
         root_w = np.sqrt(as_weights(weights, dim=L.shape[0]))[:, None]
         L, M = root_w * L, root_w * M
+    return _sign_selection(L, M)
+
+
+def _sign_selection(L: np.ndarray, M: np.ndarray) -> SignSelection:
+    """:class:`SignSelection` of two factors already known to be valid."""
     d, rho, free = _sign_rule(L, M)
     free_indices = tuple(int(i) + 1 for i in np.flatnonzero(free))
     return SignSelection(
@@ -232,7 +241,7 @@ def aw_map(mu: GaussianSpec, nu: GaussianSpec) -> AdaptedMapResult:
     """
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
-    sign = optimal_sign(L, M)
+    sign = _sign_selection(L, M)
     T = np.tril(solve_triangular(L.T, (M * sign.rho[None, :]).T, lower=False).T)
     return AdaptedMapResult(map=_affine(mu, nu, T, ADAPTED_WASSERSTEIN), sign=sign)
 

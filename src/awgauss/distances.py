@@ -81,9 +81,17 @@ def _factor_pair(A, B):
     return L, M
 
 
-def _frobenius_sq(X: np.ndarray) -> float:
-    x = X.ravel()
-    return float(x @ x)
+def _frobenius_sq(X: np.ndarray):
+    """Squared Frobenius norm of each matrix of a ``(..., N, N)`` stack.
+
+    A single matrix gives a float.  Each matrix of a stack is summed by the
+    same dot product, so its value equals bitwise the single-matrix one.
+    """
+    if X.ndim == 2:
+        x = X.ravel()
+        return float(x @ x)
+    x = X.reshape(*X.shape[:-2], 1, -1)
+    return (x @ np.swapaxes(x, -1, -2))[..., 0, 0]
 
 
 # The three covariance terms read only the Cholesky factors L, M: each is
@@ -96,21 +104,29 @@ def _kr_sq(L: np.ndarray, M: np.ndarray) -> float:
 
 
 def _sign_rule(L: np.ndarray, M: np.ndarray):
-    """The sign rule on a factor pair: ``(d, rho, free)`` with ``d = diag(L^T M)``.
+    """The sign rule on factor pairs: ``(d, rho, free)`` with ``d = diag(L^T M)``.
 
+    ``L`` and ``M`` are ``(..., N, N)`` (stacks broadcast against each other)
+    and ``d``, ``rho``, ``free`` are ``(..., N)``, one row per pair.
     ``rho_t = sign(d_t)``, except that ``|d_t| <= FREE_TOL * ||L||_F ||M||_F``
-    is a free index (the cost does not depend on ``rho_t``) and takes +1.
+    (the norms of that pair's own factors) is a free index (the cost does not
+    depend on ``rho_t``) and takes +1.
     """
-    d = np.sum(L * M, axis=0)
-    free = np.abs(d) <= FREE_TOL * math.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
+    d = np.sum(L * M, axis=-2)
+    band = FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
+    free = np.abs(d) <= band[..., None]
     rho = np.where(free | (d > 0.0), 1.0, -1.0)
     return d, rho, free
 
 
-def _abw_sq(L: np.ndarray, M: np.ndarray) -> float:
-    """Sign-rule value ``||L - M diag(rho)||_F^2``, ``rho`` from :func:`_sign_rule`."""
+def _abw_sq(L: np.ndarray, M: np.ndarray):
+    """Sign-rule value ``||L - M diag(rho)||_F^2``, ``rho`` from :func:`_sign_rule`.
+
+    A float for one factor pair; for ``(..., N, N)`` stacks one value per
+    pair, each bitwise equal to that pair's single-pair value.
+    """
     _, rho, _ = _sign_rule(L, M)
-    return _frobenius_sq(L - M * rho[None, :])
+    return _frobenius_sq(L - M * rho[..., None, :])
 
 
 def _bw_sq(L: np.ndarray, M: np.ndarray) -> float:

@@ -79,10 +79,19 @@ def geodesic_point(
 ) -> GeodesicPoint:
     """Point of the ``kind`` interpolation curve at parameter ``t`` in [0, 1]."""
     check_same_dim(mu0, mu1)
+    t = _unit_parameter(t)
+    return _curve_point(mu0, mu1, transport_for_kind(mu0, mu1, kind).matrix, t)
+
+
+def _unit_parameter(t) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise BadParameter(f"interpolation parameter t={t!r} outside [0, 1]")
-    T = transport_for_kind(mu0, mu1, kind).matrix
+    return t
+
+
+def _curve_point(mu0: GaussianSpec, mu1: GaussianSpec, T: np.ndarray, t: float) -> GeodesicPoint:
+    """Point at ``t`` of the curve driven by the transport matrix ``T``."""
     Tt = (1.0 - t) * np.eye(mu0.dim) + t * T
     cov = Tt @ mu0.cov @ Tt.T
     cov = (cov + cov.T) / 2.0
@@ -121,9 +130,11 @@ def geodesic_check(
 ) -> GeodesicCheckReport:
     """Compare the distance between two curve points with the scaled endpoint
     distance under the metric matching ``kind``."""
-    _, distance = _geometry(kind)
-    ps = geodesic_point(mu0, mu1, s, kind)
-    pt = geodesic_point(mu0, mu1, t, kind)
+    transport, distance = _geometry(kind)
+    check_same_dim(mu0, mu1)
+    s, t = _unit_parameter(s), _unit_parameter(t)
+    T = transport(mu0, mu1).matrix  # one map for both points
+    ps, pt = _curve_point(mu0, mu1, T, s), _curve_point(mu0, mu1, T, t)
     if ps.degenerate or pt.degenerate:
         return GeodesicCheckReport(
             status=SKIPPED,

@@ -9,7 +9,7 @@ values can be shared freely across threads.  Sampling takes an explicit seed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -41,6 +41,52 @@ def as_vector(x, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _raise_first(bad, error, message) -> None:
+    """Raise ``error`` with ``message(idx)`` for the first matrix ``idx`` that
+    ``bad`` (the stack's leading shape; ``()`` for one matrix) flags."""
+    if np.any(bad):
+        idx = tuple(np.argwhere(bad)[0])
+        raise error(_stack_index(idx) + message(idx))
+
+
+def _stack_index(idx: tuple) -> str:
+    return f"stack index {[int(i) for i in idx]}: " if idx else ""
+
+
+def _first_unfactorable(S: np.ndarray) -> tuple:
+    """Index of the first matrix of a stack that numpy cannot factor alone."""
+    for idx in np.ndindex(S.shape[:-2]):
+        try:
+            np.linalg.cholesky(S[idx])
+        except np.linalg.LinAlgError:
+            return idx
+    return ()
+
+
+def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
+    """Shape, finiteness and symmetry gates on each matrix of a ``(..., N, N)``
+    stack; returns the stack symmetrized (see :func:`as_spd`)."""
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
+    if M.shape[-1] < 1:
+        raise DimensionMismatch(f"{name} must have dimension >= 1")
+    _raise_first(
+        ~np.isfinite(M).all(axis=(-2, -1)), NonFiniteValue,
+        lambda idx: f"{name} contains non-finite entries",
+    )
+    Mt = np.swapaxes(M, -1, -2)
+    scale = np.max(np.abs(M), axis=(-2, -1))
+    asym = np.max(np.abs(M - Mt), axis=(-2, -1))
+    _raise_first(
+        asym > SYM_TOL * np.maximum(scale, np.finfo(float).tiny), NotSymmetric,
+        lambda idx: (
+            f"{name} is not symmetric: max|A - A^T| = {asym[idx]:.3e} "
+            f"exceeds {SYM_TOL:.0e} * max|A| = {SYM_TOL * scale[idx]:.3e}"
+        ),
+    )
+    return (M + Mt) / 2.0
+
+
 def as_spd(A, *, name: str = "matrix") -> np.ndarray:
     """Validate shape, finiteness and symmetry of ``A``; return it symmetrized.
 
@@ -50,60 +96,73 @@ def as_spd(A, *, name: str = "matrix") -> np.ndarray:
     definiteness is *not* checked here (see :func:`cholesky`).
     """
     M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    if M.shape[0] < 1:
-        raise DimensionMismatch(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteValue(f"{name} contains non-finite entries")
-    scale = np.max(np.abs(M))
-    asym = np.max(np.abs(M - M.T))
-    if asym > SYM_TOL * max(scale, np.finfo(float).tiny):
-        raise NotSymmetric(
-            f"{name} is not symmetric: max|A - A^T| = {asym:.3e} "
-            f"exceeds {SYM_TOL:.0e} * max|A| = {SYM_TOL * scale:.3e}"
-        )
-    return (M + M.T) / 2.0
+    return _symmetrized(M, name)
 
 
 def cholesky(A) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a positive definite matrix.
+    """Lower-triangular Cholesky factor of each positive definite matrix.
 
     Parameters
     ----------
-    A : array-like, shape (N, N)
-        Symmetric positive definite matrix (validated via :func:`as_spd`).
+    A : array-like, shape (..., N, N)
+        A symmetric positive definite matrix or a stack of them.  Every
+        matrix passes the gates of a single call on its own, with its own
+        scale: finite entries, asymmetry at most ``SYM_TOL * max|A|``
+        (absorbed, as in :func:`as_spd`), ``max(diag A) > 0`` and every
+        pivot above ``PD_TOL * max(diag A)``.
 
     Returns
     -------
-    L : ndarray, shape (N, N)
+    L : ndarray, shape (..., N, N)
         Lower triangular with strictly positive diagonal and exact zeros in
         the strict upper triangle, satisfying ``L @ L.T == A`` up to
-        reconstruction noise.  Unique for positive definite input.
+        reconstruction noise.  Unique for positive definite input.  Each
+        factor of a stack is bitwise the factor of its matrix alone; the
+        whole stack is factored in one numpy call.
 
     Raises
     ------
-    NotSymmetric
-        If ``A`` exceeds the symmetry tolerance.
+    NonFiniteValue, NotSymmetric
+        If a matrix has a non-finite entry or exceeds the symmetry tolerance.
     NotPositiveDefinite
         If factorization fails or any pivot is at or below
         ``PD_TOL * max(diag A)``; degenerate covariances are rejected.
+
+    A stack runs each gate over all its matrices, in the order above; the
+    first gate that some matrix fails raises the error of the first such
+    matrix (C order) with its message prefixed by ``stack index [i, ...]:``.
     """
-    S = as_spd(A)
-    max_diag = float(np.max(np.diag(S)))
-    if max_diag <= 0.0:
-        raise NotPositiveDefinite("matrix has non-positive diagonal")
+    S = _symmetrized(np.asarray(A, dtype=float), "matrix")
+    max_diag = np.max(np.diagonal(S, axis1=-2, axis2=-1), axis=-1)
+    _raise_first(
+        max_diag <= 0.0, NotPositiveDefinite, lambda idx: "matrix has non-positive diagonal"
+    )
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
-    pivots = np.diag(L) ** 2
-    if np.min(pivots) <= PD_TOL * max_diag:
+        # numpy does not say which matrix of a stack failed
         raise NotPositiveDefinite(
-            f"smallest Cholesky pivot {np.min(pivots):.3e} is at or below "
-            f"{PD_TOL:.0e} * max diag = {PD_TOL * max_diag:.3e}"
-        )
+            _stack_index(_first_unfactorable(S)) + f"Cholesky factorization failed: {exc}"
+        ) from exc
+    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+    min_pivot = np.min(pivots, axis=-1)
+    _raise_first(
+        min_pivot <= PD_TOL * max_diag, NotPositiveDefinite,
+        lambda idx: (
+            f"smallest Cholesky pivot {min_pivot[idx]:.3e} is at or below "
+            f"{PD_TOL:.0e} * max diag = {PD_TOL * max_diag[idx]:.3e}"
+        ),
+    )
     return np.tril(L)
+
+
+@lru_cache(maxsize=64)
+def _strict_upper(n: int) -> np.ndarray:
+    mask = ~np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def as_cholesky_factor(L, *, name: str = "cholesky factor") -> np.ndarray:
@@ -111,11 +170,12 @@ def as_cholesky_factor(L, *, name: str = "cholesky factor") -> np.ndarray:
     M = np.asarray(L, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NonFiniteValue(f"{name} contains non-finite entries")
-    if np.any(np.triu(M, k=1) != 0.0):
+    # a cached mask: np.triu would rebuild it on every call of optimal_sign
+    if M[_strict_upper(M.shape[0])].any():
         raise NotSymmetric(f"{name} must be lower triangular (strict upper part zero)")
-    if np.any(np.diag(M) <= 0.0):
+    if (M.diagonal() <= 0.0).any():
         raise NotPositiveDefinite(f"{name} must have strictly positive diagonal")
     return M
 
@@ -249,10 +309,17 @@ def sample(mu: GaussianSpec, n: int, seed) -> np.ndarray:
     return mu.mean + eps @ mu.chol.T
 
 
-def random_spd(dim: int, rng: np.random.Generator, *, jitter: float = 1e-3) -> np.ndarray:
-    """Random SPD matrix ``G G^T + jitter * I`` with standard normal ``G``."""
-    G = rng.standard_normal((dim, dim))
-    return G @ G.T + jitter * np.eye(dim)
+def random_spd(
+    dim: int, rng: np.random.Generator, shape: tuple[int, ...] = (), *, jitter: float = 1e-3
+) -> np.ndarray:
+    """Random SPD matrix ``G G^T + jitter * I`` with standard normal ``G``.
+
+    With a leading ``shape`` the result is a ``shape + (dim, dim)`` stack.
+    The generator is consumed exactly as by ``prod(shape)`` single draws in
+    C order, and each matrix equals bitwise the one that draw returns.
+    """
+    G = rng.standard_normal((*shape, dim, dim))
+    return G @ np.swapaxes(G, -1, -2) + jitter * np.eye(dim)
 
 
 def random_gaussian(

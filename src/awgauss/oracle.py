@@ -330,16 +330,22 @@ def monte_carlo_cost(
         raise BadParameter(f"Monte Carlo needs n >= 1000 samples, got {n}")
     rng = np.random.default_rng(seed)
     eps_x = rng.standard_normal((n, mu.dim))
-    xi = rng.standard_normal((n, mu.dim))
-    eps_y = r * eps_x + np.sqrt(1.0 - r**2) * xi
-    X = mu.mean + eps_x @ mu.chol.T
-    Y = nu.mean + eps_y @ nu.chol.T
-    sq = (X - Y) ** 2
+    # eps_y, X, Y and the squared gap are built in place; each step is the
+    # same IEEE operation as the out-of-place expression, so results are bitwise equal
+    eps_y = rng.standard_normal((n, mu.dim))
+    eps_y *= np.sqrt(1.0 - r**2)
+    eps_y += r * eps_x
+    X = eps_x @ mu.chol.T
+    X += mu.mean
+    Y = eps_y @ nu.chol.T
+    Y += nu.mean
+    X -= Y
+    X *= X
     if weights is not None:
         w = as_vector(weights, dim=mu.dim, name="weights")
-        cost = sq @ w
+        cost = X @ w
     else:
-        cost = sq.sum(axis=1)
+        cost = X.sum(axis=1)
     return MonteCarloEstimate(
         estimate=float(cost.mean()),
         standard_error=float(cost.std(ddof=1) / math.sqrt(n)),

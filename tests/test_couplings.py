@@ -4,7 +4,10 @@ import pytest
 from awgauss import (
     BadCorrelation,
     GaussianSpec,
+    NonFiniteValue,
     NonPositiveWeight,
+    NotPositiveDefinite,
+    NotSymmetric,
     aw2,
     aw_map,
     brenier_map,
@@ -18,6 +21,7 @@ from awgauss import (
     optimal_sign,
     random_gaussian,
 )
+from awgauss import couplings
 
 
 def _random_pair(dim, seed):
@@ -72,6 +76,33 @@ class TestOptimalSign:
         mu, nu = reflected_pair
         with pytest.raises(NonPositiveWeight):
             optimal_sign(mu.chol, nu.chol, weights=weights)
+
+    @pytest.mark.parametrize(
+        "factor, error",
+        [
+            ([[1.0, 0.0], [np.nan, 1.0]], NonFiniteValue),
+            ([[1.0, 0.0], [np.inf, 1.0]], NonFiniteValue),
+            ([[1.0, 0.0], [0.5, -1.0]], NotPositiveDefinite),
+            ([[1.0, 0.5], [0.0, 1.0]], NotSymmetric),  # not lower triangular
+        ],
+    )
+    def test_rejects_invalid_factor(self, factor, error):
+        for L, M in ((factor, np.eye(2)), (np.eye(2), factor)):
+            with pytest.raises(error):
+                optimal_sign(L, M)
+
+    def test_aw_map_reads_spec_factors_without_revalidation(self, monkeypatch, reflected_pair):
+        calls = []
+        original = couplings.as_cholesky_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(couplings, "as_cholesky_factor", counting)
+        result = aw_map(*reflected_pair)
+        np.testing.assert_array_equal(result.sign.rho, [-1.0, 1.0])
+        assert calls == []
 
 
 class TestCouplingPiP:

@@ -27,6 +27,7 @@ from awgauss import (
     wasserstein2,
     weighted_bicausal_value,
 )
+from awgauss.distances import _abw_sq, _sign_rule
 
 
 def _random_pair(dim, seed):
@@ -212,6 +213,28 @@ class TestAbwDistance:
         for _ in range(300):
             A, B, C = (random_spd(3, rng) for _ in range(3))
             assert abw_distance(A, C) <= abw_distance(A, B) + abw_distance(B, C) + 1e-9
+
+
+class TestStackedSignRule:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_stack_matches_single_pairs(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        L, M = cholesky(random_spd(dim, rng, (2, 6)))
+        if dim == 2:
+            # an exact tie, diag(L^T M)_1 = 0, in one slice
+            L[3] = [[1.0, 0.0], [1.0, 1.0]]
+            M[3] = [[1.0, 0.0], [-1.0, 1.0]]
+        d, rho, free = _sign_rule(L, M)
+        values = _abw_sq(L, M)
+        assert values.shape == d.shape[:-1] == (6,)
+        for k in range(6):
+            d_k, rho_k, free_k = _sign_rule(L[k], M[k])
+            np.testing.assert_array_equal(d[k], d_k)
+            np.testing.assert_array_equal(rho[k], rho_k)
+            np.testing.assert_array_equal(free[k], free_k)
+            assert values[k] == _abw_sq(L[k], M[k])
+        if dim == 2:
+            assert free[3].tolist() == [True, False] and values[3] == 4.0
 
 
 class TestSpecLevelMatchesMatrixLevel:

@@ -3,11 +3,13 @@ import pytest
 
 from awgauss import (
     BadParameter,
+    GaussianSpec,
     cholesky,
     geodesic_check,
     geodesic_point,
     random_gaussian,
 )
+from awgauss import couplings, distances
 from awgauss.geodesics import ADAPTED, GEODESIC_KINDS, KNOTHE_ROSENBLATT, WASSERSTEIN
 
 
@@ -116,6 +118,34 @@ class TestGeodesicCheck:
             rep = geodesic_check(mu, nu, WASSERSTEIN, 0.25, 0.75)
             assert rep.status == "ok"
             assert rep.abs_difference <= 1e-8
+
+    def test_builds_one_transport_map(self, monkeypatch):
+        calls = []
+        original = couplings.brenier_map
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(couplings, "brenier_map", counting)
+        mu, nu = _random_pair(3, 7)
+        rep = geodesic_check(mu, nu, WASSERSTEIN, 0.2, 0.7)
+        assert rep.status == "ok"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", GEODESIC_KINDS)
+    def test_report_equals_distance_between_curve_points(self, kind):
+        distance = {
+            WASSERSTEIN: distances.wasserstein2,
+            KNOTHE_ROSENBLATT: distances.kr2,
+            ADAPTED: distances.aw2,
+        }[kind]
+        mu, nu = _positive_diag_pair(3, 8)
+        rep = geodesic_check(mu, nu, kind, 0.2, 0.7)
+        ps, pt = geodesic_point(mu, nu, 0.2, kind), geodesic_point(mu, nu, 0.7, kind)
+        lhs = distance(GaussianSpec(ps.mean, ps.cov), GaussianSpec(pt.mean, pt.cov)).value
+        assert rep.point_distance == lhs
+        assert rep.scaled_endpoint_distance == abs(0.2 - 0.7) * distance(mu, nu).value
 
     def test_degenerate_point_reports_skipped(self, reflected_pair):
         mu, nu = reflected_pair

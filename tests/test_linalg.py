@@ -5,6 +5,7 @@ from awgauss import (
     BadSplit,
     DimensionMismatch,
     GaussianSpec,
+    NonFiniteValue,
     NotPositiveDefinite,
     NotSymmetric,
     cholesky,
@@ -75,6 +76,74 @@ class TestCholesky:
             cholesky(A)
         with pytest.raises(NotPositiveDefinite):
             cholesky(1e8 * A)
+
+
+# (matrix, error, message of cholesky on it alone); the messages are pinned
+_BAD_MATRICES = [
+    (
+        [[1.0, 0.3], [0.0, 1.0]],
+        NotSymmetric,
+        "matrix is not symmetric: max|A - A^T| = 3.000e-01 exceeds 1e-12 * max|A| = 1.000e-12",
+    ),
+    ([[1.0, np.nan], [np.nan, 1.0]], NonFiniteValue, "matrix contains non-finite entries"),
+    ([[1.0, 0.0], [0.0, np.inf]], NonFiniteValue, "matrix contains non-finite entries"),
+    ([[-1.0, 0.0], [0.0, -1.0]], NotPositiveDefinite, "matrix has non-positive diagonal"),
+    (
+        [[1.0, 2.0], [2.0, 1.0]],
+        NotPositiveDefinite,
+        "Cholesky factorization failed: Matrix is not positive definite",
+    ),
+    (
+        [[1.0, 0.0], [0.0, 1e-15]],
+        NotPositiveDefinite,
+        "smallest Cholesky pivot 1.000e-15 is at or below 1e-12 * max diag = 1.000e-12",
+    ),
+]
+
+
+class TestStackedCholesky:
+    @pytest.mark.parametrize("dim, shape", [(1, (4,)), (2, (7,)), (3, (2, 5)), (8, (3,)), (20, (2,))])
+    def test_each_factor_bitwise_equals_single_call(self, dim, shape):
+        A = random_spd(dim, np.random.default_rng(dim), shape)
+        L = cholesky(A)
+        assert L.shape == shape + (dim, dim)
+        for idx in np.ndindex(shape):
+            np.testing.assert_array_equal(L[idx], cholesky(A[idx]))
+
+    @pytest.mark.parametrize("bad, error, message", _BAD_MATRICES)
+    def test_single_matrix_message(self, bad, error, message):
+        with pytest.raises(error) as info:
+            cholesky(bad)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad, error, message", _BAD_MATRICES)
+    def test_bad_matrix_in_stack_named_by_index(self, bad, error, message):
+        A = random_spd(2, np.random.default_rng(3), (2, 3))
+        A[1, 2] = bad
+        with pytest.raises(error) as info:
+            cholesky(A)
+        assert str(info.value) == "stack index [1, 2]: " + message
+        A[0, 1] = bad  # the first bad matrix in C order is the one reported
+        with pytest.raises(error, match=r"^stack index \[0, 1\]: "):
+            cholesky(A)
+
+    def test_gates_use_each_matrix_own_scale(self):
+        big = 1e8 * np.eye(2)
+        # asymmetry 1e-11 is noise beside max|A| = 1e8 but not beside 1
+        skew = np.array([[1.0, 0.5 + 1e-11], [0.5, 1.0]])
+        with pytest.raises(NotSymmetric, match=r"^stack index \[1\]: "):
+            cholesky(np.stack([big, skew]))
+        # pivot 1e-9 is degenerate beside max diag 1e8 but not beside 1
+        L = cholesky(np.stack([big, np.diag([1.0, 1e-9])]))
+        np.testing.assert_array_equal(L[1], cholesky(np.diag([1.0, 1e-9])))
+
+    @pytest.mark.parametrize("dim, shape", [(2, (6,)), (3, (4, 3)), (5, ())])
+    def test_random_spd_stack_draws_like_single_calls(self, dim, shape):
+        stacked_rng, single_rng = np.random.default_rng(9), np.random.default_rng(9)
+        stack = random_spd(dim, stacked_rng, shape)
+        singles = [random_spd(dim, single_rng) for _ in range(int(np.prod(shape)))]
+        np.testing.assert_array_equal(stack.reshape(-1, dim, dim), singles)
+        assert stacked_rng.standard_normal() == single_rng.standard_normal()
 
 
 class TestFactorValidation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -216,6 +218,27 @@ class TestMonteCarlo:
         w = [2.0, 1.0]
         mc = monte_carlo_cost(mu, nu, [-1.0, 1.0], 500_000, seed=4, weights=w)
         assert abs(mc.estimate - weighted_bicausal_value(mu, nu, w)) <= 4.0 * mc.standard_error
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_out_of_place_form(self, dim, weighted):
+        rng = np.random.default_rng(70 + dim)
+        mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+        rho = rng.uniform(-1.0, 1.0, dim)
+        w = rng.uniform(0.5, 2.0, dim) if weighted else None
+        n = 5_000
+        got = monte_carlo_cost(mu, nu, rho, n, seed=11, weights=w)
+        # the construction written out with temporaries
+        draws = np.random.default_rng(11)
+        eps_x = draws.standard_normal((n, dim))
+        xi = draws.standard_normal((n, dim))
+        eps_y = rho * eps_x + np.sqrt(1.0 - rho**2) * xi
+        X = mu.mean + eps_x @ mu.chol.T
+        Y = nu.mean + eps_y @ nu.chol.T
+        sq = (X - Y) ** 2
+        cost = sq @ w if weighted else sq.sum(axis=1)
+        assert got.estimate == float(cost.mean())
+        assert got.standard_error == float(cost.std(ddof=1) / math.sqrt(n))
 
     def test_sample_size_floor(self, reflected_pair):
         with pytest.raises(BadParameter):
