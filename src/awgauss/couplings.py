@@ -18,7 +18,7 @@ from scipy.linalg import solve_triangular
 from .distances import FREE_TOL, _sign_rule, as_weights  # noqa: F401  (FREE_TOL re-exported)
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
-    GaussianSpec, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional, sqrtm,
+    GaussianSpec, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional,
 )
 
 BRENIER = "brenier"
@@ -184,20 +184,17 @@ def _affine(mu, nu, T, kind) -> AffineTransportMap:
 def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     """Optimal unconstrained transport map between Gaussian laws.
 
-    ``x -> b + T (x - a)`` with
-    ``T = A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``, symmetric positive
+    ``x -> b + T (x - a)`` with ``T = M Q L^{-1}`` and ``Q = V U^T`` from the
+    SVD ``L^T M = U S V^T`` of the cached factors: ``Q`` minimizes
+    ``||L - M Q||_F`` over orthogonal matrices, and ``T`` equals
+    ``A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``, symmetric positive
     definite (a convex gradient).  Each output coordinate generally reads the
     whole input path, which is exactly what the bicausal constraint forbids.
     """
     check_same_dim(mu, nu)
-    mu.chol  # positive-definiteness gate, same tolerance policy everywhere
-    w, V = np.linalg.eigh(mu.cov)
-    root_w = np.sqrt(w)
-    S = (V * root_w) @ V.T
-    S = (S + S.T) / 2.0
-    Sinv = (V / root_w) @ V.T
-    mid = sqrtm(S @ nu.cov @ S)
-    T = Sinv @ mid @ Sinv
+    L, M = mu.chol, nu.chol
+    U, _, Vt = np.linalg.svd(L.T @ M)
+    T = solve_triangular(L.T, (M @ (Vt.T @ U.T)).T, lower=False).T
     return _affine(mu, nu, (T + T.T) / 2.0, BRENIER)
 
 

@@ -134,7 +134,11 @@ def cholesky(A) -> np.ndarray:
     first gate that some matrix fails raises the error of the first such
     matrix (C order) with its message prefixed by ``stack index [i, ...]:``.
     """
-    S = _symmetrized(np.asarray(A, dtype=float), "matrix")
+    return _factor(_symmetrized(np.asarray(A, dtype=float), "matrix"))
+
+
+def _factor(S: np.ndarray) -> np.ndarray:
+    """The pivot-checked step of :func:`cholesky`, on an already gated stack."""
     max_diag = np.max(np.diagonal(S, axis1=-2, axis2=-1), axis=-1)
     _raise_first(
         max_diag <= 0.0, NotPositiveDefinite, lambda idx: "matrix has non-positive diagonal"
@@ -187,7 +191,7 @@ def sqrtm(A) -> np.ndarray:
     targets, exactness beats iterative schemes.
     """
     S = as_spd(A)
-    cholesky(S)  # positive-definiteness gate, same tolerance policy everywhere
+    _factor(S)  # positive-definiteness gate, same tolerance policy everywhere
     w, V = np.linalg.eigh(S)
     R = (V * np.sqrt(w)) @ V.T
     return (R + R.T) / 2.0
@@ -228,7 +232,7 @@ class GaussianSpec:
     @cached_property
     def chol(self) -> np.ndarray:
         """Lower-triangular Cholesky factor of the covariance (cached)."""
-        L = cholesky(self.cov)
+        L = _factor(self.cov)  # cov is gated and symmetrized on construction
         L.setflags(write=False)
         return L
 

@@ -7,12 +7,13 @@ was held to, so reports are machine readable and failures are diagnosable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .couplings import aw_map, brenier_map, coupling_cost, kr_map, optimal_sign
-from .distances import _abw_sq, abw_distance, aw2, kr2, kr_distance, wasserstein2
+from .distances import _abw_sq, _kr_sq, aw2, kr2, wasserstein2
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
 from .oracle import dpp_recursion_check, dpp_solve_discrete, monte_carlo_cost
 
@@ -62,20 +63,15 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
     L, M = mu.chol, nu.chol
     diag = np.sum(L * M, axis=0)
     neg = float(np.sum(np.abs(diag[diag < 0.0])))
-    abw_sq = abw_distance(mu.cov, nu.cov) ** 2
-    kr_sq = kr_distance(mu.cov, nu.cov) ** 2
+    # square roots as in abw_distance/kr_distance, so observed values match them
+    abw = math.sqrt(_abw_sq(L, M))
+    abw_sq = abw**2
+    kr_sq = math.sqrt(_kr_sq(L, M)) ** 2
     results.append(_result("factor_diagonal_identity", pair, abs(abw_sq - (kr_sq - 4.0 * neg)), tol))
     trace_form = float(np.trace(mu.cov) + np.trace(nu.cov) - 2.0 * np.trace(L.T @ M))
     results.append(_result("kr_trace_identity", pair, abs(kr_sq - trace_form), tol))
 
-    results.append(
-        _result(
-            "abw_symmetry",
-            pair,
-            abs(abw_distance(mu.cov, nu.cov) - abw_distance(nu.cov, mu.cov)),
-            tol,
-        )
-    )
+    results.append(_result("abw_symmetry", pair, abs(abw - math.sqrt(_abw_sq(M, L))), tol))
 
     sign = optimal_sign(L, M)
     results.append(

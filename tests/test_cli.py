@@ -22,6 +22,12 @@ IDENTICAL = {
     "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 5.0]]},
 }
 
+# pivot ratio 1e-7 passes the 1e-12 gate, although its square would not
+ILL_CONDITIONED = {
+    "mu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1e-7]]},
+    "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1e-7]]},
+}
+
 
 def _write(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
@@ -205,6 +211,25 @@ class TestVerify:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code = main(["verify"])
         assert code == 2
+
+
+class TestIllConditionedLaw:
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("coupling", ["--map", "w"]),
+            ("geodesic", ["--kind", "w", "--t", "0.5"]),
+            ("verify", ["--level", "fast"]),
+        ],
+    )
+    def test_wasserstein_geometry_runs(self, tmp_path, capsys, command, options):
+        path = _write(tmp_path, ILL_CONDITIONED)
+        code, doc = _run(capsys, [command, path, *options])
+        assert code == 0
+        if command == "coupling":
+            np.testing.assert_allclose(doc["map"]["matrix"], np.eye(2), rtol=0, atol=1e-12)
+        if command == "verify":
+            assert doc["passed"] is True
 
 
 class TestExitCodes:

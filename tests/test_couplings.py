@@ -15,6 +15,7 @@ from awgauss import (
     conditional,
     coupling_cost,
     coupling_pi_p,
+    geodesic_point,
     kr2,
     kr_map,
     monte_carlo_cost,
@@ -27,6 +28,26 @@ from awgauss import couplings
 def _random_pair(dim, seed):
     rng = np.random.default_rng(seed)
     return random_gaussian(dim, rng), random_gaussian(dim, rng)
+
+
+def _law_with_spectrum(dim, rng, smallest):
+    """Law with a random eigenbasis and spectrum log-spaced from 1 to ``smallest``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    spec = GaussianSpec(rng.standard_normal(dim), (Q * np.geomspace(1.0, smallest, dim)) @ Q.T)
+    spec.chol  # admissible: passes the pivot gate
+    return spec
+
+
+def seed_brenier_matrix(A, B):
+    """Reference: A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2} by eigendecompositions."""
+    w, V = np.linalg.eigh(A)
+    S = (V * np.sqrt(w)) @ V.T
+    S = (S + S.T) / 2.0
+    Sinv = (V / np.sqrt(w)) @ V.T
+    inner = S @ B @ S
+    ev, W = np.linalg.eigh((inner + inner.T) / 2.0)
+    T = Sinv @ ((W * np.sqrt(ev)) @ W.T) @ Sinv
+    return (T + T.T) / 2.0
 
 
 class TestOptimalSign:
@@ -211,6 +232,43 @@ class TestBrenierMap:
         assert np.all(np.linalg.eigvalsh(T.matrix) > 0.0)
         img = T.push(mu)
         assert np.linalg.norm(img.cov - nu.cov) <= 1e-8 * np.linalg.norm(nu.cov)
+
+    @staticmethod
+    def _check_map(mu, nu):
+        T = brenier_map(mu, nu).matrix
+        np.testing.assert_array_equal(T, T.T)
+        assert np.linalg.eigvalsh(T)[0] > 0.0
+        img = T @ mu.cov @ T.T
+        assert np.linalg.norm(img - nu.cov) <= 1e-8 * np.linalg.norm(nu.cov)
+        geodesic_point(mu, nu, 0.5, "wasserstein")
+        return T
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-10])
+    def test_ill_conditioned_diagonal_law(self, eps):
+        # admissible (pivot ratio eps > PD_TOL) although eps**2 is not
+        mu = GaussianSpec(np.zeros(2), np.diag([1.0, eps]))
+        np.testing.assert_allclose(self._check_map(mu, mu), np.eye(2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_ill_conditioned_pairs(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(10):
+            mu, nu = _law_with_spectrum(dim, rng, 1e-9), _law_with_spectrum(dim, rng, 1e-9)
+            self._check_map(mu, nu)
+            T = self._check_map(mu, mu)
+            np.testing.assert_allclose(T, np.eye(dim), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_matches_eigendecomposition_formula(self, dim):
+        # the reference squares cond(A) inside its square root and is itself
+        # off by about 20 * eps * cond(A), so it is held to laws with
+        # cond(A) = 1e3; the ill-conditioned tests above check the residual
+        rng = np.random.default_rng(700 + dim)
+        for _ in range(5):
+            mu, nu = _law_with_spectrum(dim, rng, 1e-3), _law_with_spectrum(dim, rng, 1e-3)
+            want = seed_brenier_matrix(mu.cov, nu.cov)
+            got = brenier_map(mu, nu).matrix
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestKrMap:

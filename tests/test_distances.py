@@ -279,6 +279,7 @@ class TestSpecLevelMatchesMatrixLevel:
         wasserstein2(mu, nu)
         weighted_bicausal_value(mu, nu, np.arange(1.0, 5.0))
         aw_map(mu, nu)
+        brenier_map(mu, nu)
         assert calls == {"cholesky": 2, "eigh": 0}
 
 

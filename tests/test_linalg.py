@@ -14,6 +14,7 @@ from awgauss import (
     sample,
     sqrtm,
 )
+from awgauss import linalg
 from awgauss.linalg import as_cholesky_factor
 
 
@@ -179,6 +180,34 @@ class TestSqrtm:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             sqrtm(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestOneGatePerMatrix:
+    @pytest.fixture
+    def gates(self, monkeypatch):
+        calls = []
+        original = linalg._symmetrized
+
+        def counting(M, name):
+            calls.append(name)
+            return original(M, name)
+
+        monkeypatch.setattr(linalg, "_symmetrized", counting)
+        return calls
+
+    def test_covariance_built_law(self, gates):
+        A = random_spd(3, np.random.default_rng(0))
+        L = GaussianSpec(np.zeros(3), A).chol
+        assert gates == ["covariance"]
+        np.testing.assert_array_equal(L, cholesky(A))
+
+    def test_sqrtm(self, gates):
+        sqrtm(random_spd(3, np.random.default_rng(1)))
+        assert len(gates) == 1
+
+    def test_gated_factor_keeps_pivot_gate(self):
+        with pytest.raises(NotPositiveDefinite, match="smallest Cholesky pivot"):
+            GaussianSpec(np.zeros(2), np.diag([1.0, 1e-13])).chol
 
 
 class TestGaussianSpec:

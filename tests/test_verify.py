@@ -1,19 +1,50 @@
 import numpy as np
 import pytest
 
-from awgauss.verify import _global_checks
+from awgauss import abw_distance, kr_distance, random_gaussian
+from awgauss.verify import _global_checks, _pair_checks
 
 
-@pytest.mark.parametrize("dim, triples", [(2, 5), (3, 7)])
-def test_global_checks_factor_each_matrix_once(monkeypatch, dim, triples):
-    factored = []  # matrices per call: a stacked call factors several
+@pytest.fixture
+def factored(monkeypatch):
+    """Matrices factored per ``np.linalg.cholesky`` call (a stacked call factors several)."""
+    counts = []
     original = np.linalg.cholesky
 
     def counting(a, *args, **kwargs):
-        factored.append(int(np.prod(np.shape(a)[:-2])))
+        counts.append(int(np.prod(np.shape(a)[:-2])))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return counts
+
+
+@pytest.mark.parametrize("dim, triples", [(2, 5), (3, 7)])
+def test_global_checks_factor_each_matrix_once(factored, dim, triples):
     (result,) = _global_checks(dim, 1.0, np.random.default_rng(0), triples=triples)
     assert result.name == "abw_triangle_inequality" and result.passed
     assert sum(factored) == 3 * triples
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_checks_read_cached_factors(factored, dim):
+    rng = np.random.default_rng(30 + dim)
+    mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+    # the values the checks had when computed from the covariances
+    L, M = mu.chol, nu.chol
+    diag = np.sum(L * M, axis=0)
+    abw_sq = abw_distance(mu.cov, nu.cov) ** 2
+    kr_sq = kr_distance(mu.cov, nu.cov) ** 2
+    trace_form = float(np.trace(mu.cov) + np.trace(nu.cov) - 2.0 * np.trace(L.T @ M))
+    expected = {
+        "factor_diagonal_identity": abs(abw_sq - (kr_sq - 4.0 * float(np.sum(np.abs(diag[diag < 0.0]))))),
+        "kr_trace_identity": abs(kr_sq - trace_form),
+        "abw_symmetry": abs(abw_distance(mu.cov, nu.cov) - abw_distance(nu.cov, mu.cov)),
+    }
+
+    factored.clear()  # the reference values above factor the covariances
+    results = _pair_checks(mu, nu, 0, 1.0, np.random.default_rng(0))
+    assert sum(factored) == 0
+    observed = {r.name: r.observed for r in results if r.name in expected}
+    assert observed == expected
+    assert all(r.passed for r in results)
