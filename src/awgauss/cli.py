@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures, geodesics, verify
-from .couplings import coupling_cost, coupling_pi_p, optimal_sign
+from .couplings import _sign_selection, coupling_cost, coupling_pi_p
 from .distances import aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
 from .errors import AwGaussError
 from .problems import ProblemFormatError, load_problem, problem_echo
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_dist(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
-    sign = optimal_sign(mu.chol, nu.chol)
+    sign = _sign_selection(mu.chol, nu.chol)
     w2, k2, a2 = wasserstein2(mu, nu), kr2(mu, nu), aw2(mu, nu)
     doc = {
         "command": "dist",
@@ -162,7 +162,7 @@ def cmd_coupling(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
     transport = geodesics.transport_for_kind(mu, nu, args.map)
-    sign = optimal_sign(mu.chol, nu.chol)
+    sign = _sign_selection(mu.chol, nu.chol)
     rho = args.rho if args.rho is not None else problem.rho
     rho_used = np.asarray(rho, dtype=float) if rho is not None else sign.rho
     joint = coupling_pi_p(mu, nu, rho_used)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .distances import FREE_TOL, _sign_rule, as_weights  # noqa: F401  (FREE_TOL re-exported)
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
@@ -194,7 +193,7 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
     U, _, Vt = np.linalg.svd(L.T @ M)
-    T = solve_triangular(L.T, (M @ (Vt.T @ U.T)).T, lower=False).T
+    T = np.linalg.solve(L.T, (M @ (Vt.T @ U.T)).T).T
     return _affine(mu, nu, (T + T.T) / 2.0, BRENIER)
 
 
@@ -206,7 +205,7 @@ def kr_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     """
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
-    T = np.tril(solve_triangular(L.T, M.T, lower=False).T)
+    T = np.tril(np.linalg.solve(L.T, M.T).T)
     return _affine(mu, nu, T, KNOTHE_ROSENBLATT)
 
 
@@ -239,7 +238,7 @@ def aw_map(mu: GaussianSpec, nu: GaussianSpec) -> AdaptedMapResult:
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
     sign = _sign_selection(L, M)
-    T = np.tril(solve_triangular(L.T, (M * sign.rho[None, :]).T, lower=False).T)
+    T = np.tril(np.linalg.solve(L.T, (M * sign.rho[None, :]).T).T)
     return AdaptedMapResult(map=_affine(mu, nu, T, ADAPTED_WASSERSTEIN), sign=sign)
 
 

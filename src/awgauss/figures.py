@@ -27,7 +27,7 @@ import numpy as np
 from .couplings import AffineTransportMap
 from .errors import BadParameter, UnsupportedDimension
 from .geodesics import GEODESIC_KINDS, geodesic_point
-from .linalg import PD_TOL, GaussianSpec
+from .linalg import GaussianSpec, _degenerate
 
 CONTOUR_TRANSPORT = "contour_transport"
 INTERPOLATION_FILMSTRIP = "interpolation_filmstrip"
@@ -68,12 +68,11 @@ def ellipse_params(mean, cov, level: float) -> EllipseParams:
         raise UnsupportedDimension("contour ellipses require dimension 2")
     w, V = np.linalg.eigh((cov + cov.T) / 2.0)
     w = np.clip(w, 0.0, None)
-    degenerate = w[0] <= PD_TOL * max(float(np.max(np.diag(cov))), np.finfo(float).tiny)
     return EllipseParams(
         center=mean,
         major=level * math.sqrt(w[1]) * V[:, 1],
         minor=level * math.sqrt(w[0]) * V[:, 0],
-        degenerate=bool(degenerate),
+        degenerate=_degenerate(w[0], cov),
     )
 
 

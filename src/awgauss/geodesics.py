@@ -16,7 +16,7 @@ import numpy as np
 
 from . import couplings, distances
 from .errors import BadParameter
-from .linalg import PD_TOL, GaussianSpec, check_same_dim
+from .linalg import GaussianSpec, _degenerate, check_same_dim
 
 WASSERSTEIN = "wasserstein"
 KNOTHE_ROSENBLATT = "knothe_rosenblatt"
@@ -97,9 +97,8 @@ def _curve_point(mu0: GaussianSpec, mu1: GaussianSpec, T: np.ndarray, t: float) 
     cov = (cov + cov.T) / 2.0
     mean = (1.0 - t) * mu0.mean + t * mu1.mean
     min_eig = float(np.linalg.eigvalsh(cov)[0])
-    threshold = PD_TOL * max(float(np.max(np.diag(cov))), np.finfo(float).tiny)
     return GeodesicPoint(
-        t=t, mean=mean, cov=cov, degenerate=min_eig <= threshold, min_eigenvalue=min_eig
+        t=t, mean=mean, cov=cov, degenerate=_degenerate(min_eig, cov), min_eigenvalue=min_eig
     )
 
 

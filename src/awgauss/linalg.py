@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     BadSplit,
@@ -162,6 +161,11 @@ def _factor(S: np.ndarray) -> np.ndarray:
     return np.tril(L)
 
 
+def _degenerate(min_eig: float, cov: np.ndarray) -> bool:
+    """Degeneracy of a PSD ``cov`` with least eigenvalue ``min_eig``, on the pivot gate's scale."""
+    return bool(min_eig <= PD_TOL * max(float(np.max(np.diag(cov))), np.finfo(float).tiny))
+
+
 @lru_cache(maxsize=64)
 def _strict_upper(n: int) -> np.ndarray:
     mask = ~np.tri(n, dtype=bool)
@@ -288,11 +292,14 @@ def conditional(mu: GaussianSpec, t: int, x_past) -> GaussianSpec:
     """
     t = check_split(t, mu.dim)
     x = as_vector(x_past, dim=t, name="x_past")
-    L = mu.chol
-    a = mu.mean
-    gain = solve_triangular(L[:t, :t], L[t:, :t].T, lower=True, trans="T").T
-    mean = a[t:] + gain @ (x - a[:t])
+    L, a = mu.chol, mu.mean
+    mean = a[t:] + _gain(L, t) @ (x - a[:t])
     return GaussianSpec.from_cholesky(mean, L[t:, t:])
+
+
+def _gain(L: np.ndarray, t: int) -> np.ndarray:
+    """Conditional-mean gain ``L_fp @ inv(L_pp)`` of a validated factor at split ``t``."""
+    return np.linalg.solve(L[:t, :t].T, L[t:, :t].T).T
 
 
 def sample(mu: GaussianSpec, n: int, seed) -> np.ndarray:
@@ -313,22 +320,17 @@ def sample(mu: GaussianSpec, n: int, seed) -> np.ndarray:
     return mu.mean + eps @ mu.chol.T
 
 
-def random_spd(
-    dim: int, rng: np.random.Generator, shape: tuple[int, ...] = (), *, jitter: float = 1e-3
-) -> np.ndarray:
-    """Random SPD matrix ``G G^T + jitter * I`` with standard normal ``G``.
+def random_spd(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Random SPD matrix ``G G^T + 1e-3 * I`` with standard normal ``G``.
 
     With a leading ``shape`` the result is a ``shape + (dim, dim)`` stack.
     The generator is consumed exactly as by ``prod(shape)`` single draws in
     C order, and each matrix equals bitwise the one that draw returns.
     """
     G = rng.standard_normal((*shape, dim, dim))
-    return G @ np.swapaxes(G, -1, -2) + jitter * np.eye(dim)
+    return G @ np.swapaxes(G, -1, -2) + 1e-3 * np.eye(dim)
 
 
-def random_gaussian(
-    dim: int, rng: np.random.Generator, *, jitter: float = 1e-3, centered: bool = False
-) -> GaussianSpec:
-    """Random non-degenerate Gaussian law, for property tests and verification."""
-    mean = np.zeros(dim) if centered else rng.standard_normal(dim)
-    return GaussianSpec(mean, random_spd(dim, rng, jitter=jitter))
+def random_gaussian(dim: int, rng: np.random.Generator) -> GaussianSpec:
+    """Random law: standard normal mean, then a :func:`random_spd` covariance."""
+    return GaussianSpec(rng.standard_normal(dim), random_spd(dim, rng))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.special import ndtri, roots_hermitenorm
@@ -30,7 +29,7 @@ from scipy.special import ndtri, roots_hermitenorm
 from .couplings import as_correlations, coupling_cost
 from .distances import _abw_sq
 from .errors import BadParameter, BadSplit, TooLarge
-from .linalg import GaussianSpec, as_vector, check_same_dim, check_split
+from .linalg import GaussianSpec, _gain, as_vector, check_same_dim, check_split
 
 #: hard cap on the number of past paths per marginal in the discrete solver;
 #: the value-function table has the square of this many entries
@@ -41,18 +40,12 @@ def _value_batch(mu: GaussianSpec, nu: GaussianSpec, t: int, X, Y) -> np.ndarray
     """Closed-form value function at split ``t`` for batched pasts (n, t)."""
     L, M = mu.chol, nu.chol
     a, b = mu.mean, nu.mean
-    n = X.shape[0]
     past = np.sum((X - Y) ** 2, axis=1)
     if t == mu.dim:
         return past
-    if t > 0:
-        gx = solve_triangular(L[:t, :t], L[t:, :t].T, lower=True, trans="T").T
-        gy = solve_triangular(M[:t, :t], M[t:, :t].T, lower=True, trans="T").T
-        cmx = a[t:] + (X - a[:t]) @ gx.T
-        cmy = b[t:] + (Y - b[:t]) @ gy.T
-    else:
-        cmx = np.broadcast_to(a, (n, mu.dim))
-        cmy = np.broadcast_to(b, (n, nu.dim))
+    # conditional means; at t = 0 the gains are empty and these are the means
+    cmx = a[t:] + (X - a[:t]) @ _gain(L, t).T
+    cmy = b[t:] + (Y - b[:t]) @ _gain(M, t).T
     cross = np.sum((cmx - cmy) ** 2, axis=1)
     return past + cross + _abw_sq(L[t:, t:], M[t:, t:])
 
@@ -144,13 +137,12 @@ def dpp_recursion_check(
     evaluation = value_function(mu, nu, t, x, y)
     L, M = mu.chol, nu.chol
     a, b = mu.mean, nu.mean
-    if t > 0:
-        rx = solve_triangular(L[:t, :t], L[t, :t], lower=True, trans="T")
-        ry = solve_triangular(M[:t, :t], M[t, :t], lower=True, trans="T")
-        mx = float(a[t] + rx @ (x - a[:t]))
-        my = float(b[t] + ry @ (y - b[:t]))
-    else:
-        mx, my = float(a[0]), float(b[0])
+    # row solves, not rows of _gain: those differ from these in the last bits
+    # (at t = 0 they are empty and the conditional means are a[0], b[0])
+    rx = np.linalg.solve(L[:t, :t].T, L[t, :t])
+    ry = np.linalg.solve(M[:t, :t].T, M[t, :t])
+    mx = float(a[t] + rx @ (x - a[:t]))
+    my = float(b[t] + ry @ (y - b[:t]))
     sx, sy = float(L[t, t]), float(M[t, t])
 
     z, w = roots_hermitenorm(int(quad))
@@ -211,6 +203,18 @@ def _assignment_value(cost: np.ndarray) -> float:
     return float(cost[rows, cols].mean())
 
 
+def _discrete_size_error(dim: int, m: int) -> str | None:
+    """Why :func:`dpp_solve_discrete` refuses ``m`` nodes at dimension ``dim``, or ``None``."""
+    if dim > 3:
+        return f"discrete solver supports N <= 3, got N={dim}"
+    if m ** (dim - 1) > MAX_PAST_PATHS:
+        return (
+            f"{m} nodes over horizon {dim} needs {m ** (dim - 1)} past paths per "
+            f"marginal (max {MAX_PAST_PATHS})"
+        )
+    return None
+
+
 def dpp_solve_discrete(
     mu: GaussianSpec,
     nu: GaussianSpec,
@@ -247,16 +251,11 @@ def dpp_solve_discrete(
     """
     check_same_dim(mu, nu)
     N = mu.dim
-    if N > 3:
-        raise TooLarge(f"discrete solver supports N <= 3, got N={N}")
     m = int(points_per_dim)
-    if m < 2:
+    if m < 2 and N <= 3:
         raise BadParameter(f"points_per_dim must be >= 2, got {m}")
-    if m ** (N - 1) > MAX_PAST_PATHS:
-        raise TooLarge(
-            f"{m} nodes over horizon {N} needs {m ** (N - 1)} past paths per "
-            f"marginal (max {MAX_PAST_PATHS})"
-        )
+    if (too_large := _discrete_size_error(N, m)) is not None:
+        raise TooLarge(too_large)
 
     z = ndtri((np.arange(m) + 0.5) / m)
     x_paths, x_children = _quantile_tree(mu, z)

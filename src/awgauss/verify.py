@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import aw_map, brenier_map, coupling_cost, kr_map, optimal_sign
+from .couplings import _sign_selection, aw_map, brenier_map, coupling_cost, kr_map
 from .distances import _abw_sq, _kr_sq, aw2, kr2, wasserstein2
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
-from .oracle import dpp_recursion_check, dpp_solve_discrete, monte_carlo_cost
+from .oracle import _discrete_size_error, dpp_recursion_check, dpp_solve_discrete, monte_carlo_cost
 
 FAST = "fast"
 FULL = "full"
@@ -73,7 +73,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
 
     results.append(_result("abw_symmetry", pair, abs(abw - math.sqrt(_abw_sq(M, L))), tol))
 
-    sign = optimal_sign(L, M)
+    sign = _sign_selection(L, M)
     results.append(
         _result("sign_rule_attains_aw2", pair, abs(coupling_cost(mu, nu, sign.rho) - a2.squared_value), tol)
     )
@@ -126,7 +126,7 @@ def _global_checks(dim: int, scale: float, rng, triples: int = 200):
 def _oracle_checks(mu, nu, pair, scale, rng, grid_m, mc_samples):
     results = []
     a2 = aw2(mu, nu)
-    if mu.dim <= 3 and grid_m ** (mu.dim - 1) <= 4096:
+    if _discrete_size_error(mu.dim, grid_m) is None:
         discrete = dpp_solve_discrete(mu, nu, grid_m, seed=int(rng.integers(2**32)))
         results.append(
             _result(
@@ -138,7 +138,7 @@ def _oracle_checks(mu, nu, pair, scale, rng, grid_m, mc_samples):
             )
         )
 
-    sign = optimal_sign(mu.chol, nu.chol)
+    sign = _sign_selection(mu.chol, nu.chol)
     for name, rho in (
         ("monte_carlo_optimal_rho", sign.rho),
         ("monte_carlo_synchronous", np.ones(mu.dim)),

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from awgauss import GaussianSpec, couplings
 from awgauss.cli import main
 
 REFLECTED = {
@@ -211,6 +212,33 @@ class TestVerify:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code = main(["verify"])
         assert code == 2
+
+
+# a covariance-built 3-d problem
+THREE_D = {
+    "mu": {"mean": [0.0, 1.0, -1.0], "cov": [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]},
+    "nu": {"mean": [1.0, 0.0, 0.5], "cov": [[1.0, -0.5, 0.2], [-0.5, 2.0, 0.3], [0.2, 0.3, 1.5]]},
+}
+
+
+class TestOneGatePerLaw:
+    @pytest.mark.parametrize("command", [["dist"], ["coupling"], ["verify", "--level", "full"]])
+    def test_cached_factors_skip_the_factor_gate(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        gate = couplings.as_cholesky_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(couplings, "as_cholesky_factor", counting)
+        code, _ = _run(capsys, [command[0], _write(tmp_path, THREE_D), *command[1:]])
+        assert code == 0
+        assert calls == []
+        # the counter is live: the public sign rule gates both factors
+        mu = GaussianSpec(THREE_D["mu"]["mean"], THREE_D["mu"]["cov"])
+        couplings.optimal_sign(mu.chol, mu.chol)
+        assert len(calls) == 2
 
 
 class TestIllConditionedLaw:

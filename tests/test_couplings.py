@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+import awgauss
 from awgauss import (
     BadCorrelation,
     GaussianSpec,
@@ -403,3 +408,68 @@ class TestMonteCarloConsistency:
             rho = rng.uniform(-1.0, 1.0, 3)
             mc = monte_carlo_cost(mu, nu, rho, 200_000, seed=seed)
             assert abs(mc.estimate - coupling_cost(mu, nu, rho)) <= 4.0 * mc.standard_error
+
+
+def _close(actual, reference):
+    """Agreement to 1e-13 relative to the largest entry of ``reference``."""
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    return np.max(np.abs(actual - reference), initial=0.0) <= 1e-13 * np.max(np.abs(reference))
+
+
+class TestTriangularSolvesMatchScipy:
+    """The maps and the conditional gain solve on numpy's LAPACK; scipy's
+    triangular solve is the reference they must agree with."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 256])
+    def test_maps(self, dim):
+        mu, nu = _random_pair(dim, 700 + dim)
+        L, M = mu.chol, nu.chol
+        U, _, Vt = np.linalg.svd(L.T @ M)
+        T = solve_triangular(L.T, (M @ (Vt.T @ U.T)).T, lower=False).T
+        rho = optimal_sign(L, M).rho
+        expected = {
+            "brenier": (brenier_map(mu, nu), (T + T.T) / 2.0),
+            "kr": (kr_map(mu, nu), np.tril(solve_triangular(L.T, M.T, lower=False).T)),
+            "aw": (
+                aw_map(mu, nu).map,
+                np.tril(solve_triangular(L.T, (M * rho[None, :]).T, lower=False).T),
+            ),
+        }
+        for kind, (transport, reference) in expected.items():
+            assert _close(transport.matrix, reference), kind
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64, 256])
+    def test_conditional_mean(self, dim):
+        mu, _ = _random_pair(dim, 800 + dim)
+        L, a = mu.chol, mu.mean
+        x = np.random.default_rng(dim).standard_normal(dim)
+        for t in sorted({1, dim // 2, dim - 1}):
+            gain = solve_triangular(L[:t, :t], L[t:, :t].T, lower=True, trans="T").T
+            reference = a[t:] + gain @ (x[:t] - a[:t])
+            assert _close(conditional(mu, t, x[:t]).mean, reference), t
+
+
+#: modules of the closed forms, the maps and the curves: numpy only
+NUMPY_ONLY_MODULES = ("linalg", "distances", "couplings", "geodesics")
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+class TestOneLapack:
+    @pytest.mark.parametrize("module", NUMPY_ONLY_MODULES)
+    def test_closed_form_modules_import_no_scipy(self, module):
+        path = Path(awgauss.__file__).with_name(f"{module}.py")
+        imported = list(_imported_modules(path))
+        assert "numpy" in imported
+        assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
+
+    def test_no_module_names_solve_triangular(self):
+        sources = sorted(Path(awgauss.__file__).parent.glob("*.py"))
+        assert len(sources) > len(NUMPY_ONLY_MODULES)
+        assert [p.name for p in sources if "solve_triangular" in p.read_text()] == []

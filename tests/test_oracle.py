@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.linalg import solve_triangular
+from scipy.special import ndtri, roots_hermitenorm
 
 from awgauss import (
     BadParameter,
@@ -20,6 +21,7 @@ from awgauss import (
     value_function,
     weighted_bicausal_value,
 )
+from awgauss.distances import _abw_sq
 
 
 def _random_pair(dim, seed):
@@ -288,3 +290,56 @@ class TestOracleAgreement:
             closed = aw2(mu, nu).squared_value
             got = dpp_solve_discrete(mu, nu, 100)
             assert abs(got - closed) <= 0.05 * (1.0 + closed)
+
+
+def _scipy_value(mu, nu, t, x, y):
+    """Closed-form value at split ``t`` with the gains from scipy's triangular solve."""
+    L, M, a, b = mu.chol, nu.chol, mu.mean, nu.mean
+    value = float(np.sum((x - y) ** 2))
+    if t == mu.dim:
+        return value
+    cmx, cmy = a[t:], b[t:]
+    if t > 0:
+        cmx = cmx + solve_triangular(L[:t, :t], L[t:, :t].T, lower=True, trans="T").T @ (x - a[:t])
+        cmy = cmy + solve_triangular(M[:t, :t], M[t:, :t].T, lower=True, trans="T").T @ (y - b[:t])
+    return value + float(np.sum((cmx - cmy) ** 2)) + _abw_sq(L[t:, t:], M[t:, t:])
+
+
+class TestTriangularSolvesMatchScipy:
+    """The value function and its recursion check solve on numpy's LAPACK;
+    scipy's triangular solve is the reference they must agree with."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_value_function(self, dim):
+        mu, nu = _random_pair(dim, 900 + dim)
+        rng = np.random.default_rng(dim)
+        for t in range(dim + 1):
+            x, y = rng.standard_normal(t), rng.standard_normal(t)
+            expected = _scipy_value(mu, nu, t, x, y)
+            assert value_function(mu, nu, t, x, y).value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_recursion_check(self, dim):
+        mu, nu = _random_pair(dim, 950 + dim)
+        L, M, a, b = mu.chol, nu.chol, mu.mean, nu.mean
+        rng = np.random.default_rng(dim)
+        z, w = roots_hermitenorm(64)
+        w = w / w.sum()
+        for t in range(dim):
+            x, y = rng.standard_normal(t), rng.standard_normal(t)
+            mx, my = a[t], b[t]
+            if t > 0:
+                mx += solve_triangular(L[:t, :t], L[t, :t], lower=True, trans="T") @ (x - a[:t])
+                my += solve_triangular(M[:t, :t], M[t, :t], lower=True, trans="T") @ (y - b[:t])
+
+            def one_step(sign):
+                return float(w @ [
+                    _scipy_value(mu, nu, t + 1, np.append(x, mx + L[t, t] * zk),
+                                 np.append(y, my + sign * M[t, t] * zk))
+                    for zk in z
+                ])
+
+            rep = dpp_recursion_check(mu, nu, t, x, y, quad=64)
+            assert rep.value == pytest.approx(_scipy_value(mu, nu, t, x, y), rel=1e-13)
+            assert rep.comonotone_value == pytest.approx(one_step(1.0), rel=1e-13)
+            assert rep.countermonotone_value == pytest.approx(one_step(-1.0), rel=1e-13)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from awgauss import abw_distance, kr_distance, random_gaussian
-from awgauss.verify import _global_checks, _pair_checks
+from awgauss import TooLarge, abw_distance, dpp_solve_discrete, kr_distance, random_gaussian
+from awgauss.oracle import _discrete_size_error
+from awgauss.verify import _global_checks, _oracle_checks, _pair_checks
 
 
 @pytest.fixture
@@ -48,3 +49,18 @@ def test_pair_checks_read_cached_factors(factored, dim):
     observed = {r.name: r.observed for r in results if r.name in expected}
     assert observed == expected
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("dim, grid_m", [(2, 100), (2, 5000), (3, 16), (3, 100), (4, 3)])
+def test_discrete_oracle_runs_exactly_when_the_solver_accepts_the_size(dim, grid_m):
+    rng = np.random.default_rng(50 + dim)
+    mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+    try:
+        dpp_solve_discrete(mu, nu, grid_m)
+        accepted = True
+    except TooLarge as exc:
+        accepted = False
+        assert str(exc) == _discrete_size_error(dim, grid_m)
+    assert accepted == (_discrete_size_error(dim, grid_m) is None)
+    results = _oracle_checks(mu, nu, 0, 1.0, np.random.default_rng(0), grid_m, 1000)
+    assert [r.name for r in results].count("oracle_dpp_agreement") == int(accepted)
