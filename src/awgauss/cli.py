@@ -225,6 +225,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.problem is not None:
         problem = load_problem(args.problem)
         pairs = [(problem.mu, problem.nu)]
+    elif args.random < 1:
+        # zero pairs would run zero checks and report a vacuous pass
+        raise ProblemFormatError(f"--random needs at least 1 pair, got {args.random}")
     else:
         pairs = verify.random_pairs(args.random, args.seed, dim=args.dim)
     results = verify.run_verification(

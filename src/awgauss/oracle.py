@@ -16,6 +16,7 @@ Nothing in this module trusts the sign-rule formula it is meant to check:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,6 +114,15 @@ class RecursionCheckReport:
     abs_error: float
 
 
+@functools.lru_cache(maxsize=8)
+def _hermite_rule(quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights normalized to sum 1, per ``quad``."""
+    z, w = roots_hermitenorm(quad)
+    w = w / w.sum()
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
 def dpp_recursion_check(
     mu: GaussianSpec, nu: GaussianSpec, t: int, x_past, y_past, quad: int = 256
 ) -> RecursionCheckReport:
@@ -145,8 +155,7 @@ def dpp_recursion_check(
     my = float(b[t] + ry @ (y - b[:t]))
     sx, sy = float(L[t, t]), float(M[t, t])
 
-    z, w = roots_hermitenorm(int(quad))
-    w = w / w.sum()
+    z, w = _hermite_rule(int(quad))
     x_nodes = mx + sx * z
     X_next = np.column_stack([np.repeat(x[None, :], z.shape[0], axis=0), x_nodes])
 
@@ -317,10 +326,12 @@ def monte_carlo_cost(
 
     Simulates the construction directly: draw ``eps^X`` standard normal, set
     ``eps^Y_t = rho_t eps^X_t + sqrt(1 - rho_t^2) xi_t`` with independent
-    ``xi``, and push both noises through the Cholesky factors.  Returns the
-    empirical mean of ``||X - Y||^2`` (or the weighted square cost when
-    ``weights`` is given) and its standard error.  Deterministic for a fixed
-    seed.
+    ``xi``, and push both noises through the Cholesky factors.  ``eps^X`` is
+    the generator's first draw; ``xi`` is drawn second, and only when some
+    ``|rho_t| < 1``: with every ``rho_t = +-1`` the coupling is a deterministic
+    map and ``xi`` would be multiplied by zero.  Returns the empirical mean of
+    ``||X - Y||^2`` (or the weighted square cost when ``weights`` is given)
+    and its standard error.  Deterministic for a fixed seed.
     """
     check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
@@ -329,15 +340,22 @@ def monte_carlo_cost(
         raise BadParameter(f"Monte Carlo needs n >= 1000 samples, got {n}")
     rng = np.random.default_rng(seed)
     eps_x = rng.standard_normal((n, mu.dim))
-    # eps_y, X, Y and the squared gap are built in place; each step is the
-    # same IEEE operation as the out-of-place expression, so results are bitwise equal
-    eps_y = rng.standard_normal((n, mu.dim))
-    eps_y *= np.sqrt(1.0 - r**2)
-    eps_y += r * eps_x
+    # every step below is the same IEEE operation as the out-of-place
+    # expression, so results are bitwise equal to it; the per-column in-place
+    # ops replace broadcasts whose inner loop would run over the short time axis
     X = eps_x @ mu.chol.T
-    X += mu.mean
-    Y = eps_y @ nu.chol.T
-    Y += nu.mean
+    if np.all(np.abs(r) == 1.0):
+        # rho_t = +-1 is exact in any product: (rho_t eps) M equals eps (M rho_t)
+        Y = eps_x @ (nu.chol * r).T
+    else:
+        eps_y = rng.standard_normal((n, mu.dim))
+        for ey, ex, s, rt in zip(eps_y.T, eps_x.T, np.sqrt(1.0 - r**2), r):
+            ey *= s
+            ey += rt * ex
+        Y = eps_y @ nu.chol.T
+    for x, y, a, b in zip(X.T, Y.T, mu.mean, nu.mean):
+        x += a
+        y += b
     X -= Y
     X *= X
     if weights is not None:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from awgauss import GaussianSpec
+from awgauss.oracle import MonteCarloEstimate
 
 
 @pytest.fixture
@@ -26,3 +29,29 @@ def tied_pair():
     mu = GaussianSpec.from_cholesky(np.zeros(2), np.array([[1.0, 0.0], [1.0, 1.0]]))
     nu = GaussianSpec.from_cholesky(np.zeros(2), np.array([[1.0, 0.0], [-1.0, 1.0]]))
     return mu, nu
+
+
+def _out_of_place_monte_carlo(mu, nu, rho, n, seed, *, weights=None):
+    """The correlated-noise construction written out with temporaries.
+
+    It always draws ``xi`` after ``eps_x``, also when every ``|rho_t| = 1``
+    multiplies it by zero.
+    """
+    rho = np.asarray(rho, dtype=float)
+    draws = np.random.default_rng(seed)
+    eps_x = draws.standard_normal((n, mu.dim))
+    xi = draws.standard_normal((n, mu.dim))
+    eps_y = rho * eps_x + np.sqrt(1.0 - rho**2) * xi
+    X = mu.mean + eps_x @ mu.chol.T
+    Y = nu.mean + eps_y @ nu.chol.T
+    sq = (X - Y) ** 2
+    cost = sq.sum(axis=1) if weights is None else sq @ np.asarray(weights, dtype=float)
+    return MonteCarloEstimate(
+        estimate=float(cost.mean()), standard_error=float(cost.std(ddof=1) / math.sqrt(n))
+    )
+
+
+@pytest.fixture
+def out_of_place_monte_carlo():
+    """Reference for ``monte_carlo_cost``, with the same signature."""
+    return _out_of_place_monte_carlo

@@ -213,6 +213,14 @@ class TestVerify:
         code = main(["verify"])
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_random_pairs_is_parse_error(self, capsys, count):
+        # zero pairs would run zero checks and pass vacuously
+        assert main(["--seed", "3", "verify", "--random", count, "--level", "full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--random needs at least 1 pair" in captured.err
+
 
 # a covariance-built 3-d problem
 THREE_D = {

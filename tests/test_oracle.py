@@ -16,12 +16,14 @@ from awgauss import (
     dpp_recursion_check,
     dpp_solve_discrete,
     monte_carlo_cost,
+    optimal_sign,
     random_gaussian,
     rho_grid_search,
     value_function,
     weighted_bicausal_value,
 )
 from awgauss.distances import _abw_sq
+from awgauss.oracle import _hermite_rule
 
 
 def _random_pair(dim, seed):
@@ -122,6 +124,14 @@ class TestRecursionCheck:
                 y = rng.standard_normal(t)
                 rep = dpp_recursion_check(mu, nu, t, x, y, quad=48)
                 assert rep.abs_error <= 1e-9 * (1.0 + rep.value)
+
+    def test_quadrature_rule_is_cached_read_only_and_unchanged(self):
+        z, w = roots_hermitenorm(64)
+        w = w / w.sum()
+        cached = _hermite_rule(64)
+        assert _hermite_rule(64) is cached
+        assert np.array_equal(cached[0], z) and np.array_equal(cached[1], w)
+        assert not cached[0].flags.writeable and not cached[1].flags.writeable
 
     def test_parameter_validation(self, reflected_pair):
         mu, nu = reflected_pair
@@ -241,6 +251,47 @@ class TestMonteCarlo:
         cost = sq @ w if weighted else sq.sum(axis=1)
         assert got.estimate == float(cost.mean())
         assert got.standard_error == float(cost.std(ddof=1) / math.sqrt(n))
+
+    @pytest.mark.parametrize("kind", ["sign_rule", "ones", "minus_ones", "mixed_signs", "one_interior"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [5_000, 100_000])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_unit_correlations_bitwise_equal_to_drawing_xi(
+        self, out_of_place_monte_carlo, kind, dim, n, weighted
+    ):
+        rng = np.random.default_rng(80 + dim)
+        mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+        signs = np.where(np.arange(dim) % 2, 1.0, -1.0)
+        rho = {
+            "sign_rule": optimal_sign(mu.chol, nu.chol).rho,
+            "ones": np.ones(dim),
+            "minus_ones": -np.ones(dim),
+            "mixed_signs": signs,
+            # a single |rho_t| < 1 needs xi again
+            "one_interior": np.where(np.arange(dim) == dim // 2, 0.3, signs),
+        }[kind]
+        w = rng.uniform(0.5, 2.0, dim) if weighted else None
+        got = monte_carlo_cost(mu, nu, rho, n, seed=13, weights=w)
+        assert got == out_of_place_monte_carlo(mu, nu, rho, n, 13, weights=w)
+
+    @pytest.mark.parametrize("rho, draws", [([1.0, -1.0], 1), ([1.0, 0.5], 2)])
+    def test_noise_is_drawn_only_for_interior_correlations(
+        self, reflected_pair, monkeypatch, rho, draws
+    ):
+        shapes = []
+        make = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self._rng = make(seed)
+
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return self._rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        monte_carlo_cost(*reflected_pair, rho, 2_000, seed=0)
+        assert shapes == [(2_000, 2)] * draws
 
     def test_sample_size_floor(self, reflected_pair):
         with pytest.raises(BadParameter):

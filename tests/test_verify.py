@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from awgauss import TooLarge, abw_distance, dpp_solve_discrete, kr_distance, random_gaussian
+from awgauss import TooLarge, abw_distance, dpp_solve_discrete, kr_distance, random_gaussian, verify
 from awgauss.oracle import _discrete_size_error
-from awgauss.verify import _global_checks, _oracle_checks, _pair_checks
+from awgauss.verify import _global_checks, _oracle_checks, _pair_checks, random_pairs, run_verification
 
 
 @pytest.fixture
@@ -64,3 +64,15 @@ def test_discrete_oracle_runs_exactly_when_the_solver_accepts_the_size(dim, grid
     assert accepted == (_discrete_size_error(dim, grid_m) is None)
     results = _oracle_checks(mu, nu, 0, 1.0, np.random.default_rng(0), grid_m, 1000)
     assert [r.name for r in results].count("oracle_dpp_agreement") == int(accepted)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_full_report_unchanged_against_the_out_of_place_monte_carlo(
+    monkeypatch, out_of_place_monte_carlo, dim
+):
+    pairs = random_pairs(2, 60 + dim, dim=dim)
+    got = [r.as_doc() for r in run_verification(pairs, level="full", seed=9)]
+    monkeypatch.setattr(verify, "monte_carlo_cost", out_of_place_monte_carlo)
+    expected = [r.as_doc() for r in run_verification(pairs, level="full", seed=9)]
+    assert got == expected
+    assert sum(d["name"].startswith("monte_carlo_") for d in got) == 3 * len(pairs)
