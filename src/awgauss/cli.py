@@ -228,6 +228,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     elif args.random < 1:
         # zero pairs would run zero checks and report a vacuous pass
         raise ProblemFormatError(f"--random needs at least 1 pair, got {args.random}")
+    elif args.dim < 1:
+        raise ProblemFormatError(f"--dim needs at least 1 time step, got {args.dim}")
     else:
         pairs = verify.random_pairs(args.random, args.seed, dim=args.dim)
     results = verify.run_verification(

@@ -17,7 +17,7 @@ import numpy as np
 from .distances import FREE_TOL, _sign_rule, as_weights  # noqa: F401  (FREE_TOL re-exported)
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
-    GaussianSpec, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional,
+    GaussianSpec, _rdiv, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional,
 )
 
 BRENIER = "brenier"
@@ -150,12 +150,14 @@ def coupling_cost(mu: GaussianSpec, nu: GaussianSpec, rho) -> float:
     squared adapted distance.
     """
     check_same_dim(mu, nu)
-    r = as_correlations(rho, dim=mu.dim)
+    return float(_coupling_cost(mu, nu, as_correlations(rho, dim=mu.dim)))
+
+
+def _coupling_cost(mu: GaussianSpec, nu: GaussianSpec, R: np.ndarray):
+    """:func:`coupling_cost` of each row of a validated ``(..., N)`` correlation stack."""
     d = np.sum(mu.chol * nu.chol, axis=0)
     diff = mu.mean - nu.mean
-    return float(
-        diff @ diff + np.trace(mu.cov) + np.trace(nu.cov) - 2.0 * float(r @ d)
-    )
+    return diff @ diff + np.trace(mu.cov) + np.trace(nu.cov) - 2.0 * (R @ d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +195,7 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
     U, _, Vt = np.linalg.svd(L.T @ M)
-    T = np.linalg.solve(L.T, (M @ (Vt.T @ U.T)).T).T
+    T = _rdiv(M @ (Vt.T @ U.T), L)
     return _affine(mu, nu, (T + T.T) / 2.0, BRENIER)
 
 
@@ -205,7 +207,7 @@ def kr_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     """
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
-    T = np.tril(np.linalg.solve(L.T, M.T).T)
+    T = np.tril(_rdiv(M, L))
     return _affine(mu, nu, T, KNOTHE_ROSENBLATT)
 
 
@@ -238,7 +240,7 @@ def aw_map(mu: GaussianSpec, nu: GaussianSpec) -> AdaptedMapResult:
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
     sign = _sign_selection(L, M)
-    T = np.tril(np.linalg.solve(L.T, (M * sign.rho[None, :]).T).T)
+    T = np.tril(_rdiv(M * sign.rho[None, :], L))
     return AdaptedMapResult(map=_affine(mu, nu, T, ADAPTED_WASSERSTEIN), sign=sign)
 
 

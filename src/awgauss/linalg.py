@@ -293,13 +293,17 @@ def conditional(mu: GaussianSpec, t: int, x_past) -> GaussianSpec:
     t = check_split(t, mu.dim)
     x = as_vector(x_past, dim=t, name="x_past")
     L, a = mu.chol, mu.mean
-    mean = a[t:] + _gain(L, t) @ (x - a[:t])
+    mean = a[t:] + _rdiv(L[t:, :t], L[:t, :t]) @ (x - a[:t])
     return GaussianSpec.from_cholesky(mean, L[t:, t:])
 
 
-def _gain(L: np.ndarray, t: int) -> np.ndarray:
-    """Conditional-mean gain ``L_fp @ inv(L_pp)`` of a validated factor at split ``t``."""
-    return np.linalg.solve(L[:t, :t].T, L[t:, :t].T).T
+def _rdiv(X: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Right division ``X @ inv(L)`` by a validated lower-triangular factor.
+
+    The one solve behind every map ``M Q L^{-1}`` and every conditional-mean
+    gain ``L_fp @ inv(L_pp)``; empty when ``L`` is ``0 x 0``.
+    """
+    return np.linalg.solve(L.T, X.T).T
 
 
 def sample(mu: GaussianSpec, n: int, seed) -> np.ndarray:

@@ -27,10 +27,10 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.special import ndtri, roots_hermitenorm
 
-from .couplings import as_correlations, coupling_cost
-from .distances import _abw_sq
+from .couplings import _coupling_cost, as_correlations, coupling_cost
+from .distances import _abw_sq, as_weights
 from .errors import BadParameter, BadSplit, TooLarge
-from .linalg import GaussianSpec, _gain, as_vector, check_same_dim, check_split
+from .linalg import GaussianSpec, _rdiv, as_vector, check_same_dim, check_split
 
 #: hard cap on the number of past paths per marginal in the discrete solver;
 #: the value-function table has the square of this many entries
@@ -45,8 +45,8 @@ def _value_batch(mu: GaussianSpec, nu: GaussianSpec, t: int, X, Y) -> np.ndarray
     if t == mu.dim:
         return past
     # conditional means; at t = 0 the gains are empty and these are the means
-    cmx = a[t:] + (X - a[:t]) @ _gain(L, t).T
-    cmy = b[t:] + (Y - b[:t]) @ _gain(M, t).T
+    cmx = a[t:] + (X - a[:t]) @ _rdiv(L[t:, :t], L[:t, :t]).T
+    cmy = b[t:] + (Y - b[:t]) @ _rdiv(M[t:, :t], M[:t, :t]).T
     cross = np.sum((cmx - cmy) ** 2, axis=1)
     return past + cross + _abw_sq(L[t:, t:], M[t:, t:])
 
@@ -147,10 +147,10 @@ def dpp_recursion_check(
     evaluation = value_function(mu, nu, t, x, y)
     L, M = mu.chol, nu.chol
     a, b = mu.mean, nu.mean
-    # row solves, not rows of _gain: those differ from these in the last bits
-    # (at t = 0 they are empty and the conditional means are a[0], b[0])
-    rx = np.linalg.solve(L[:t, :t].T, L[t, :t])
-    ry = np.linalg.solve(M[:t, :t].T, M[t, :t])
+    # one-row divisions, not rows of the full gain: those differ from these in
+    # the last bits (at t = 0 they are empty and the conditional means are a[0], b[0])
+    rx = _rdiv(L[t:t + 1, :t], L[:t, :t])[0]
+    ry = _rdiv(M[t:t + 1, :t], M[:t, :t])[0]
     mx = float(a[t] + rx @ (x - a[:t]))
     my = float(b[t] + ry @ (y - b[:t]))
     sx, sy = float(L[t, t]), float(M[t, t])
@@ -330,11 +330,13 @@ def monte_carlo_cost(
     the generator's first draw; ``xi`` is drawn second, and only when some
     ``|rho_t| < 1``: with every ``rho_t = +-1`` the coupling is a deterministic
     map and ``xi`` would be multiplied by zero.  Returns the empirical mean of
-    ``||X - Y||^2`` (or the weighted square cost when ``weights`` is given)
+    ``||X - Y||^2`` (or the weighted square cost when ``weights``, strictly
+    positive as for :func:`~awgauss.distances.weighted_bicausal_value`, are given)
     and its standard error.  Deterministic for a fixed seed.
     """
     check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
+    w = None if weights is None else as_weights(weights, dim=mu.dim)
     n = int(n)
     if n < 1000:
         raise BadParameter(f"Monte Carlo needs n >= 1000 samples, got {n}")
@@ -358,11 +360,7 @@ def monte_carlo_cost(
         y += b
     X -= Y
     X *= X
-    if weights is not None:
-        w = as_vector(weights, dim=mu.dim, name="weights")
-        cost = X @ w
-    else:
-        cost = X.sum(axis=1)
+    cost = X.sum(axis=1) if w is None else X @ w
     return MonteCarloEstimate(
         estimate=float(cost.mean()),
         standard_error=float(cost.std(ddof=1) / math.sqrt(n)),
@@ -391,10 +389,6 @@ def rho_grid_search(mu: GaussianSpec, nu: GaussianSpec, steps: int) -> RhoGridRe
         raise TooLarge(f"{steps}^{N} grid points exceed the 2^30 enumeration guard")
 
     grid = np.linspace(-1.0, 1.0, steps)
-    d = np.sum(mu.chol * nu.chol, axis=0)
-    diff = mu.mean - nu.mean
-    base = float(diff @ diff + np.trace(mu.cov) + np.trace(nu.cov))
-
     best_rho = None
     best_cost = math.inf
     candidates = itertools.product(grid, repeat=N)
@@ -402,7 +396,7 @@ def rho_grid_search(mu: GaussianSpec, nu: GaussianSpec, steps: int) -> RhoGridRe
         chunk = np.array(list(itertools.islice(candidates, 65536)))
         if chunk.size == 0:
             break
-        costs = base - 2.0 * (chunk @ d)
+        costs = _coupling_cost(mu, nu, chunk)
         k = int(np.argmin(costs))
         if costs[k] < best_cost:
             best_cost = float(costs[k])

@@ -5,8 +5,7 @@ A problem is a single human-writable JSON document::
     {
       "mu": {"mean": [0, 0], "cov": [[1, 2], [2, 5]]},
       "nu": {"mean": [0, 0], "chol": [[1, 0], [-2, 1]]},
-      "weights": [1, 1],          # optional
-      "rho": [-1, 1]              # optional
+      "rho": [-1, 1]  # optional
     }
 
 Either ``cov`` or ``chol`` (lower-triangular factor) may be given; the factor
@@ -38,7 +37,6 @@ class ProblemFormatError(Exception):
 class Problem:
     mu: GaussianSpec
     nu: GaussianSpec
-    weights: np.ndarray | None = None
     rho: np.ndarray | None = None
 
     @property
@@ -84,19 +82,12 @@ def parse_problem(doc) -> Problem:
     mu = parse_gaussian(doc["mu"], where="mu")
     nu = parse_gaussian(doc["nu"], where="nu")
     check_same_dim(mu, nu)
-    weights = None
-    if doc.get("weights") is not None:
-        weights = _numeric_array(doc["weights"], ndim=1, where="weights")
-        if weights.shape[0] != mu.dim:
-            raise DimensionMismatch(
-                f"weights have length {weights.shape[0]}, expected {mu.dim}"
-            )
     rho = None
     if doc.get("rho") is not None:
         rho = _numeric_array(doc["rho"], ndim=1, where="rho")
         if rho.shape[0] != mu.dim:
             raise DimensionMismatch(f"rho has length {rho.shape[0]}, expected {mu.dim}")
-    return Problem(mu=mu, nu=nu, weights=weights, rho=rho)
+    return Problem(mu=mu, nu=nu, rho=rho)
 
 
 def load_problem(path) -> Problem:

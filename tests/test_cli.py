@@ -55,6 +55,13 @@ class TestDist:
         assert doc["aw_unique"] is True
         assert doc["mean_term"] == 0.0
 
+    @pytest.mark.parametrize("weights", [[2.0, 1.0], [1.0, 2.0, 3.0]])
+    def test_weights_key_is_ignored(self, tmp_path, capsys, weights):
+        # no command reads per-time weights from a problem file, whatever their length
+        plain = _run(capsys, ["dist", _write(tmp_path, REFLECTED)])
+        weighted = _run(capsys, ["dist", _write(tmp_path, {**REFLECTED, "weights": weights}, "w.json")])
+        assert weighted == plain
+
     def test_identical_laws(self, tmp_path, capsys):
         path = _write(tmp_path, IDENTICAL)
         code, doc = _run(capsys, ["dist", path])
@@ -220,6 +227,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--random needs at least 1 pair" in captured.err
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_no_time_steps_is_parse_error(self, capsys, dim):
+        # a bad command-line value, not a numpy error (-1) or an invariant violation (0)
+        assert main(["--seed", "3", "verify", "--random", "1", "--dim", dim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dim needs at least 1 time step" in captured.err
 
 
 # a covariance-built 3-d problem

@@ -216,6 +216,22 @@ class TestCouplingCost:
                 kr2(mu, nu).squared_value, abs=1e-9
             )
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_stacked_rows_match_single_calls(self, dim):
+        mu, nu = _random_pair(dim, 950 + dim)
+        R = np.random.default_rng(dim).uniform(-1.0, 1.0, (200, dim))
+        stacked = couplings._coupling_cost(mu, nu, R)
+        assert stacked.shape == (200,)
+        # a matrix-vector product may sum a row in another order than a dot
+        single = [coupling_cost(mu, nu, r) for r in R]
+        np.testing.assert_allclose(stacked, single, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_one_row_is_bitwise_the_public_cost(self, dim):
+        mu, nu = _random_pair(dim, 960 + dim)
+        for r in np.random.default_rng(dim).uniform(-1.0, 1.0, (20, dim)):
+            assert float(couplings._coupling_cost(mu, nu, r)) == coupling_cost(mu, nu, r)
+
 
 class TestBrenierMap:
     def test_identity_on_equal_laws(self):
@@ -468,6 +484,23 @@ class TestOneLapack:
         imported = list(_imported_modules(path))
         assert "numpy" in imported
         assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
+
+    def test_one_right_division(self):
+        # every factor solve goes through linalg._rdiv; the discrete oracle's
+        # Schur-complement solve stays its own, independent of the factors
+        sources = sorted(Path(awgauss.__file__).parent.glob("*.py"))
+        sites = {
+            (path.stem, fn.name)
+            for path in sources
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            and any(
+                isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg.solve"
+                for node in ast.walk(fn)
+            )
+        }
+        assert sites == {("linalg", "_rdiv"), ("oracle", "_quantile_tree")}
+        assert sum(path.read_text().count("linalg.solve") for path in sources) == len(sites)
 
     def test_no_module_names_solve_triangular(self):
         sources = sorted(Path(awgauss.__file__).parent.glob("*.py"))

@@ -274,6 +274,16 @@ class TestConditional:
         np.testing.assert_allclose(reconstructed, A[t:, t:], atol=1e-9)
 
 
+class TestRightDivision:
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_one_row_bitwise_equals_vector_solve(self, dim):
+        L = cholesky(random_spd(dim, np.random.default_rng(dim)))
+        for t in range(dim):
+            row = linalg._rdiv(L[t:t + 1, :t], L[:t, :t])
+            assert row.shape == (1, t)
+            assert np.array_equal(row[0], np.linalg.solve(L[:t, :t].T, L[t, :t])), t
+
+
 class TestSample:
     def test_seed_determinism(self):
         mu = GaussianSpec(np.zeros(2), np.array([[1.0, 2.0], [2.0, 5.0]]))

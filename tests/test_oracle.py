@@ -9,6 +9,7 @@ from awgauss import (
     BadParameter,
     BadSplit,
     GaussianSpec,
+    NonPositiveWeight,
     TooLarge,
     aw2,
     conditional,
@@ -230,6 +231,13 @@ class TestMonteCarlo:
         w = [2.0, 1.0]
         mc = monte_carlo_cost(mu, nu, [-1.0, 1.0], 500_000, seed=4, weights=w)
         assert abs(mc.estimate - weighted_bicausal_value(mu, nu, w)) <= 4.0 * mc.standard_error
+
+    @pytest.mark.parametrize("weights", [[-1.0, 1.0], [0.0, 1.0]])
+    def test_rejects_nonpositive_weights(self, reflected_pair, weights):
+        # the rule of weighted_bicausal_value and optimal_sign
+        mu, nu = reflected_pair
+        with pytest.raises(NonPositiveWeight):
+            monte_carlo_cost(mu, nu, [-1.0, 1.0], 10_000, seed=5, weights=weights)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("weighted", [False, True])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from awgauss import TooLarge, abw_distance, dpp_solve_discrete, kr_distance, random_gaussian, verify
+from awgauss import (
+    TooLarge, abw_distance, couplings, distances, dpp_solve_discrete, kr_distance, random_gaussian, verify,
+)
 from awgauss.oracle import _discrete_size_error
 from awgauss.verify import _global_checks, _oracle_checks, _pair_checks, random_pairs, run_verification
 
@@ -49,6 +51,42 @@ def test_pair_checks_read_cached_factors(factored, dim):
     observed = {r.name: r.observed for r in results if r.name in expected}
     assert observed == expected
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_checks_reuse_what_they_computed(monkeypatch, dim):
+    calls = {"coupling_cost": 0, "_sign_rule": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(verify, "coupling_cost")
+    count(distances, "_sign_rule")
+    count(couplings, "_sign_rule")
+    rng = np.random.default_rng(40 + dim)
+    mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+    results = _pair_checks(mu, nu, 0, 1.0, np.random.default_rng(5))
+    assert all(r.passed for r in results)
+    # the two fixed correlations; the 32 random ones are one stacked evaluation
+    assert calls == {"coupling_cost": 2, "_sign_rule": 4}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_random_rho_draw_is_the_stream_of_single_draws(dim):
+    rng = np.random.default_rng(70 + dim)
+    mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+    drawn = np.random.default_rng(5)
+    _pair_checks(mu, nu, 0, 1.0, drawn)
+    reference = np.random.default_rng(5)
+    singles = [reference.uniform(-1.0, 1.0, dim) for _ in range(32)]
+    assert drawn.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(np.random.default_rng(5).uniform(-1.0, 1.0, (32, dim)), singles)
 
 
 @pytest.mark.parametrize("dim, grid_m", [(2, 100), (2, 5000), (3, 16), (3, 100), (4, 3)])
