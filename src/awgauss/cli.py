@@ -50,9 +50,12 @@ def _float_list(value: str) -> list[float]:
 
 def _int_list(value: str) -> list[int]:
     try:
-        return [int(part) for part in value.split(",") if part.strip() != ""]
+        ints = [int(part) for part in value.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {value!r}") from exc
+    if not ints:
+        raise argparse.ArgumentTypeError(f"expected at least one integer: {value!r}")
+    return ints
 
 
 def _add_global_flags(parser, *, suppress: bool):
@@ -193,6 +196,8 @@ def cmd_geodesic(args) -> tuple[dict, int]:
     kind = args.kind
     if args.t is not None:
         ts = [args.t]
+    elif args.frames < 1:
+        raise ProblemFormatError(f"--frames needs at least 1 frame, got {args.frames}")
     else:
         ts = np.linspace(0.0, 1.0, args.frames).tolist()
     points = [geodesics.geodesic_point(problem.mu, problem.nu, t, kind) for t in ts]
@@ -222,6 +227,11 @@ def cmd_geodesic(args) -> tuple[dict, int]:
 def cmd_verify(args) -> tuple[dict, int]:
     if (args.problem is None) == (args.random is None):
         raise ProblemFormatError("verify needs exactly one of a problem file or --random N")
+    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0.0):
+        # inf would widen every bound to inf and report a vacuous pass
+        raise ProblemFormatError(
+            f"--tolerance-scale needs a finite value > 0, got {args.tolerance_scale}"
+        )
     if args.problem is not None:
         problem = load_problem(args.problem)
         pairs = [(problem.mu, problem.nu)]

@@ -135,16 +135,12 @@ def dpp_recursion_check(
         quadratic polynomial of the shared standard normal driver, so the
         quadrature is exact and ``quad`` only guards against misuse.
     """
-    check_same_dim(mu, nu)
-    t = check_split(t, mu.dim, allow_ends=True)
+    evaluation = value_function(mu, nu, t, x_past, y_past)
+    t, x, y = evaluation.t, evaluation.x_past, evaluation.y_past
     if t >= mu.dim:
         raise BadSplit(f"recursion step needs t < N, got t={t}, N={mu.dim}")
     if quad < 16:
         raise BadParameter(f"quadrature size {quad} below the minimum of 16")
-    x = as_vector(x_past, dim=t, name="x_past") if t else np.zeros(0)
-    y = as_vector(y_past, dim=t, name="y_past") if t else np.zeros(0)
-
-    evaluation = value_function(mu, nu, t, x, y)
     L, M = mu.chol, nu.chol
     a, b = mu.mean, nu.mean
     # one-row divisions, not rows of the full gain: those differ from these in
@@ -212,6 +208,17 @@ def _assignment_value(cost: np.ndarray) -> float:
     return float(cost[rows, cols].mean())
 
 
+def _refine(V: np.ndarray, rng, samples: int, value) -> None:
+    """Lower ``V[i, j]`` to ``value(i, j)`` at the root of a 1x1 table, else on
+    ``samples`` drawn states (all ``i`` drawn first, then all ``j``)."""
+    n = V.shape[0]
+    if n == 1:
+        V[0, 0] = min(V[0, 0], value(0, 0))
+    elif samples:
+        for i, j in zip(rng.integers(0, n, samples), rng.integers(0, n, samples)):
+            V[i, j] = min(V[i, j], value(i, j))
+
+
 def _discrete_size_error(dim: int, m: int) -> str | None:
     """Why :func:`dpp_solve_discrete` refuses ``m`` nodes at dimension ``dim``, or ``None``."""
     if dim > 3:
@@ -269,7 +276,6 @@ def dpp_solve_discrete(
     z = ndtri((np.arange(m) + 0.5) / m)
     x_paths, x_children = _quantile_tree(mu, z)
     y_paths, y_children = _quantile_tree(nu, z)
-    n = x_paths.shape[0]
     rng = np.random.default_rng(seed)
 
     past2 = cdist(x_paths, y_paths, "sqeuclidean") if N > 1 else np.zeros((1, 1))
@@ -281,15 +287,10 @@ def dpp_solve_discrete(
     como = ax[:, None] + ay[None, :] - 2.0 * (Xc @ Yc.T) / m
     counter = ax[:, None] + ay[None, :] - 2.0 * (Xc @ Yc[:, ::-1].T) / m
     V = past2 + np.minimum(como, counter)
-    if n == 1:
-        cost = (Xc[0][:, None] - Yc[0][None, :]) ** 2
-        V[0, 0] = min(V[0, 0], past2[0, 0] + _assignment_value(cost))
-    elif assignment_samples:
-        for i, j in zip(
-            rng.integers(0, n, assignment_samples), rng.integers(0, n, assignment_samples)
-        ):
-            cost = (Xc[i][:, None] - Yc[j][None, :]) ** 2
-            V[i, j] = min(V[i, j], past2[i, j] + _assignment_value(cost))
+    _refine(
+        V, rng, assignment_samples,
+        lambda i, j: past2[i, j] + _assignment_value((Xc[i][:, None] - Yc[j][None, :]) ** 2),
+    )
 
     # interior steps: couple children through the stored value table
     for s in range(N - 2, -1, -1):
@@ -298,18 +299,10 @@ def dpp_solve_discrete(
         como = np.einsum("ikjk->ij", V4) / m
         counter = np.einsum("ikjk->ij", V4[:, :, :, ::-1]) / m
         Vnew = np.minimum(como, counter)
-        if s == 0:
-            Vnew[0, 0] = min(
-                Vnew[0, 0], _assignment_value(np.ascontiguousarray(V4[0, :, 0, :]))
-            )
-        elif assignment_samples:
-            for i, j in zip(
-                rng.integers(0, ns, assignment_samples),
-                rng.integers(0, ns, assignment_samples),
-            ):
-                Vnew[i, j] = min(
-                    Vnew[i, j], _assignment_value(np.ascontiguousarray(V4[i, :, j, :]))
-                )
+        _refine(
+            Vnew, rng, assignment_samples,
+            lambda i, j: _assignment_value(np.ascontiguousarray(V4[i, :, j, :])),
+        )
         V = Vnew
     return float(V[0, 0])
 

@@ -39,10 +39,6 @@ class Problem:
     nu: GaussianSpec
     rho: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.mu.dim
-
 
 def _numeric_array(value, *, ndim: int, where: str) -> np.ndarray:
     try:

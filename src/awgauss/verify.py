@@ -49,7 +49,9 @@ def _result(name, pair, observed, bound, note="") -> CheckResult:
     )
 
 
-def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rng):
+def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rng, oracles=None):
+    """Checks of one pair; with ``oracles=(grid_m, mc_samples)`` also the oracle checks,
+    which read the closed-form values computed here."""
     results = []
     w2 = wasserstein2(mu, nu)
     k2 = kr2(mu, nu)
@@ -74,17 +76,10 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
 
     results.append(_result("abw_symmetry", pair, abs(abw - math.sqrt(_abw_sq(M, L))), tol))
 
-    results.append(
-        _result("sign_rule_attains_aw2", pair, abs(coupling_cost(mu, nu, sign.rho) - a2.squared_value), tol)
-    )
-    results.append(
-        _result(
-            "synchronous_cost_is_kr2",
-            pair,
-            abs(coupling_cost(mu, nu, np.ones(mu.dim)) - k2.squared_value),
-            tol,
-        )
-    )
+    ones = np.ones(mu.dim)
+    sign_cost, sync_cost = coupling_cost(mu, nu, sign.rho), coupling_cost(mu, nu, ones)
+    results.append(_result("sign_rule_attains_aw2", pair, abs(sign_cost - a2.squared_value), tol))
+    results.append(_result("synchronous_cost_is_kr2", pair, abs(sync_cost - k2.squared_value), tol))
     # one draw of all 32 rows (the generator advances as by 32 single draws)
     costs = _coupling_cost(mu, nu, rng.uniform(-1.0, 1.0, (32, mu.dim)))
     worst = np.max(a2.squared_value - costs, initial=0.0)
@@ -110,21 +105,10 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
         results.append(
             _result("conditional_block_identity", pair, worst, 1e-12 * scale * max(1.0, float(np.max(np.abs(diag)))))
         )
-    return results
+    if oracles is None:
+        return results
 
-
-def _global_checks(dim: int, scale: float, rng, triples: int = 200):
-    # one draw of every triple's A, B, C (the generator advances as by
-    # 3 * triples single draws) and one stacked, per-matrix-gated factorization
-    LA, LB, LC = np.moveaxis(cholesky(random_spd(dim, rng, (triples, 3))), 1, 0)
-    ac, ab, bc = (np.sqrt(_abw_sq(L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
-    worst = np.max(ac - ab - bc, initial=0.0)
-    return [_result("abw_triangle_inequality", -1, worst, 1e-9 * scale)]
-
-
-def _oracle_checks(mu, nu, pair, scale, rng, grid_m, mc_samples):
-    results = []
-    a2 = aw2(mu, nu)
+    grid_m, mc_samples = oracles
     if _discrete_size_error(mu.dim, grid_m) is None:
         discrete = dpp_solve_discrete(mu, nu, grid_m, seed=int(rng.integers(2**32)))
         results.append(
@@ -137,17 +121,16 @@ def _oracle_checks(mu, nu, pair, scale, rng, grid_m, mc_samples):
             )
         )
 
-    sign = _sign_selection(mu.chol, nu.chol)
-    for name, rho in (
-        ("monte_carlo_optimal_rho", sign.rho),
-        ("monte_carlo_synchronous", np.ones(mu.dim)),
-        ("monte_carlo_random_rho", rng.uniform(-1.0, 1.0, mu.dim)),
+    # draw order: discrete seed, random rho, the three Monte Carlo seeds, recursion pasts
+    random_rho = rng.uniform(-1.0, 1.0, mu.dim)
+    for name, rho, cost in (
+        ("monte_carlo_optimal_rho", sign.rho, sign_cost),
+        ("monte_carlo_synchronous", ones, sync_cost),
+        ("monte_carlo_random_rho", random_rho, coupling_cost(mu, nu, random_rho)),
     ):
         mc = monte_carlo_cost(mu, nu, rho, mc_samples, int(rng.integers(2**32)))
         bound = 4.0 * mc.standard_error * scale
-        results.append(
-            _result(name, pair, abs(mc.estimate - coupling_cost(mu, nu, rho)), max(bound, 1e-12))
-        )
+        results.append(_result(name, pair, abs(mc.estimate - cost), max(bound, 1e-12)))
 
     worst = 0.0
     for t in range(mu.dim):
@@ -157,6 +140,15 @@ def _oracle_checks(mu, nu, pair, scale, rng, grid_m, mc_samples):
         worst = max(worst, rep.abs_error / (1.0 + rep.value))
     results.append(_result("value_function_recursion", pair, worst, 1e-8 * scale))
     return results
+
+
+def _global_checks(dim: int, scale: float, rng, triples: int = 200):
+    # one draw of every triple's A, B, C (the generator advances as by
+    # 3 * triples single draws) and one stacked, per-matrix-gated factorization
+    LA, LB, LC = np.moveaxis(cholesky(random_spd(dim, rng, (triples, 3))), 1, 0)
+    ac, ab, bc = (np.sqrt(_abw_sq(L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
+    worst = np.max(ac - ab - bc, initial=0.0)
+    return [_result("abw_triangle_inequality", -1, worst, 1e-9 * scale)]
 
 
 def run_verification(
@@ -173,12 +165,9 @@ def run_verification(
         raise ValueError(f"unknown verification level {level!r}; expected one of {LEVELS}")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
+    oracles = (grid_m, mc_samples) if level == FULL else None
     for idx, (mu, nu) in enumerate(pairs):
-        results.extend(_pair_checks(mu, nu, idx, tolerance_scale, rng))
-        if level == FULL:
-            results.extend(
-                _oracle_checks(mu, nu, idx, tolerance_scale, rng, grid_m, mc_samples)
-            )
+        results.extend(_pair_checks(mu, nu, idx, tolerance_scale, rng, oracles))
     if pairs:
         results.extend(_global_checks(pairs[0][0].dim, tolerance_scale, rng))
     return results

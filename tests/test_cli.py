@@ -161,6 +161,21 @@ class TestGeodesic:
         assert doc["points"][0]["cov"] == REFLECTED["mu"]["cov"]
         assert doc["points"][0]["mean"] == REFLECTED["mu"]["mean"]
 
+    @pytest.mark.parametrize("frames", ["0", "-1"])
+    def test_no_frames_is_parse_error(self, tmp_path, capsys, frames):
+        # a bad command-line value: neither a numpy error nor a document with no points
+        path = _write(tmp_path, REFLECTED)
+        assert main(["geodesic", path, "--frames", frames]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--frames needs at least 1 frame" in captured.err
+
+    def test_one_frame_is_the_start_point(self, tmp_path, capsys):
+        path = _write(tmp_path, REFLECTED)
+        code, doc = _run(capsys, ["geodesic", path, "--kind", "aw", "--frames", "1"])
+        assert code == 0
+        assert [pt["t"] for pt in doc["points"]] == [0.0]
+
     def test_kr_frames_interpolate_factors(self, tmp_path, capsys):
         path = _write(tmp_path, REFLECTED)
         code, doc = _run(capsys, ["geodesic", path, "--kind", "kr", "--frames", "5"])
@@ -235,6 +250,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--dim needs at least 1 time step" in captured.err
+
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0", "-1"])
+    def test_tolerance_scale_outside_the_positive_reals_is_parse_error(self, tmp_path, capsys, scale):
+        # inf would widen every bound to inf and pass every check vacuously
+        for source in (["--random", "2"], [_write(tmp_path, REFLECTED)]):
+            assert main(["verify", *source, f"--tolerance-scale={scale}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--tolerance-scale needs a finite value > 0" in captured.err
 
 
 # a covariance-built 3-d problem
@@ -355,6 +379,15 @@ class TestDemoIncompleteness:
     def test_angle_validation(self, capsys):
         code = main(["demo-incompleteness", "--theta", "0", "--theta-prime", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("n_list", ["", ",", " , "])
+    def test_empty_n_list_is_parse_error(self, capsys, n_list):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-incompleteness", "--theta", "1", "--theta-prime", "0.5", "--n-list", n_list])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected at least one integer" in captured.err
 
 
 def _read_rows(path):

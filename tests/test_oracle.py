@@ -8,6 +8,7 @@ from scipy.special import ndtri, roots_hermitenorm
 from awgauss import (
     BadParameter,
     BadSplit,
+    DimensionMismatch,
     GaussianSpec,
     NonPositiveWeight,
     TooLarge,
@@ -24,6 +25,7 @@ from awgauss import (
     weighted_bicausal_value,
 )
 from awgauss.distances import _abw_sq
+from awgauss import oracle
 from awgauss.oracle import _hermite_rule
 
 
@@ -142,7 +144,62 @@ class TestRecursionCheck:
             dpp_recursion_check(mu, nu, 0, [], [], quad=8)
 
 
+class TestRecursionCheckGatesOnce:
+    """``dpp_recursion_check`` validates through ``value_function`` and adds only its own rules."""
+
+    def test_one_split_check_per_call(self, monkeypatch):
+        calls = []
+        original = oracle.check_split
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "check_split", counting)
+        mu, nu = _random_pair(3, 11)
+        for t in range(3):
+            calls.clear()
+            dpp_recursion_check(mu, nu, t, np.full(t, 0.2), np.full(t, -0.1), quad=16)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "t, past, quad, error",
+        [
+            (2, 2, 64, BadSplit),  # t = N
+            (3, 3, 64, BadSplit),  # t outside [0, N]
+            (1, 1, 8, BadParameter),  # quad < 16
+            (1, 2, 64, DimensionMismatch),  # past of the wrong length
+        ],
+    )
+    def test_each_singly_invalid_argument_keeps_its_error(self, reflected_pair, t, past, quad, error):
+        mu, nu = reflected_pair
+        with pytest.raises(error):
+            dpp_recursion_check(mu, nu, t, np.zeros(past), np.zeros(past), quad=quad)
+
+    def test_dimension_mismatch_keeps_its_error(self, reflected_pair):
+        mu, _ = reflected_pair
+        with pytest.raises(DimensionMismatch):
+            dpp_recursion_check(mu, random_gaussian(3, np.random.default_rng(0)), 0, [], [])
+
+
 class TestDiscreteSolver:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [0, 1, 8])
+    def test_assignment_solves_per_step(self, monkeypatch, dim, samples):
+        # `samples` on each of the N - 1 non-root steps, plus one at the root
+        calls = []
+        original = oracle._assignment_value
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return original(cost)
+
+        monkeypatch.setattr(oracle, "_assignment_value", counting)
+        mu, nu = _random_pair(dim, 20 + dim)
+        dpp_solve_discrete(mu, nu, 4, assignment_samples=samples, seed=3)
+        assert len(calls) == 1 + samples * (dim - 1)
+        assert set(calls) == {(4, 4)}
+
     def test_scalar_horizon(self):
         mu = GaussianSpec([1.0], [[4.0]])
         nu = GaussianSpec([0.0], [[9.0]])

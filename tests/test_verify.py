@@ -5,7 +5,7 @@ from awgauss import (
     TooLarge, abw_distance, couplings, distances, dpp_solve_discrete, kr_distance, random_gaussian, verify,
 )
 from awgauss.oracle import _discrete_size_error
-from awgauss.verify import _global_checks, _oracle_checks, _pair_checks, random_pairs, run_verification
+from awgauss.verify import _global_checks, _pair_checks, random_pairs, run_verification
 
 
 @pytest.fixture
@@ -77,6 +77,32 @@ def test_pair_checks_reuse_what_they_computed(monkeypatch, dim):
     assert calls == {"coupling_cost": 2, "_sign_rule": 4}
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_full_level_pair_computes_each_closed_form_once(monkeypatch, dim):
+    calls = {"aw2": 0, "_sign_selection": 0, "coupling_cost": 0}
+
+    def count(name):
+        original = getattr(verify, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counting)
+
+    for name in calls:
+        count(name)
+    rng = np.random.default_rng(80 + dim)
+    results = run_verification(
+        [(random_gaussian(dim, rng), random_gaussian(dim, rng))], level="full", seed=4, mc_samples=1000
+    )
+    assert all(r.passed for r in results)
+    assert sum(r.name.startswith("monte_carlo_") for r in results) == 3
+    # the sign-rule and synchronous costs are shared with the oracle checks;
+    # only the random rho is a fresh closed-form evaluation
+    assert calls == {"aw2": 1, "_sign_selection": 1, "coupling_cost": 3}
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_random_rho_draw_is_the_stream_of_single_draws(dim):
     rng = np.random.default_rng(70 + dim)
@@ -100,7 +126,7 @@ def test_discrete_oracle_runs_exactly_when_the_solver_accepts_the_size(dim, grid
         accepted = False
         assert str(exc) == _discrete_size_error(dim, grid_m)
     assert accepted == (_discrete_size_error(dim, grid_m) is None)
-    results = _oracle_checks(mu, nu, 0, 1.0, np.random.default_rng(0), grid_m, 1000)
+    results = _pair_checks(mu, nu, 0, 1.0, np.random.default_rng(0), (grid_m, 1000))
     assert [r.name for r in results].count("oracle_dpp_agreement") == int(accepted)
 
 
