@@ -24,6 +24,7 @@ from . import figures, geodesics, verify
 from .couplings import _sign_selection, coupling_cost, coupling_pi_p
 from .distances import aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
 from .errors import AwGaussError
+from .oracle import MIN_MC_SAMPLES, MIN_POINTS_PER_DIM
 from .problems import ProblemFormatError, load_problem, problem_echo
 
 _W, _KR, _AW = geodesics.WASSERSTEIN, geodesics.KNOTHE_ROSENBLATT, geodesics.ADAPTED
@@ -231,6 +232,15 @@ def cmd_verify(args) -> tuple[dict, int]:
         # inf would widen every bound to inf and report a vacuous pass
         raise ProblemFormatError(
             f"--tolerance-scale needs a finite value > 0, got {args.tolerance_scale}"
+        )
+    # the oracles' own floors, refused before any check runs
+    if args.mc_samples < MIN_MC_SAMPLES:
+        raise ProblemFormatError(
+            f"--mc-samples needs at least {MIN_MC_SAMPLES} samples, got {args.mc_samples}"
+        )
+    if args.grid_m < MIN_POINTS_PER_DIM:
+        raise ProblemFormatError(
+            f"--grid-m needs at least {MIN_POINTS_PER_DIM} nodes per time step, got {args.grid_m}"
         )
     if args.problem is not None:
         problem = load_problem(args.problem)

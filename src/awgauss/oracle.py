@@ -36,19 +36,32 @@ from .linalg import GaussianSpec, _rdiv, as_vector, check_same_dim, check_split
 #: the value-function table has the square of this many entries
 MAX_PAST_PATHS = 4096
 
+#: fewest samples :func:`monte_carlo_cost` accepts, and fewest nodes per time
+#: step :func:`dpp_solve_discrete` accepts
+MIN_MC_SAMPLES = 1000
+MIN_POINTS_PER_DIM = 2
 
-def _value_batch(mu: GaussianSpec, nu: GaussianSpec, t: int, X, Y) -> np.ndarray:
-    """Closed-form value function at split ``t`` for batched pasts (n, t)."""
+
+def _value_fn(mu: GaussianSpec, nu: GaussianSpec, t: int):
+    """Closed-form value function at split ``t``, as a function of batched pasts
+    ``(X, Y)`` of shape (n, t); its gains and trailing cost are computed once."""
     L, M = mu.chol, nu.chol
     a, b = mu.mean, nu.mean
-    past = np.sum((X - Y) ** 2, axis=1)
     if t == mu.dim:
-        return past
+        return lambda X, Y: np.sum((X - Y) ** 2, axis=1)
     # conditional means; at t = 0 the gains are empty and these are the means
-    cmx = a[t:] + (X - a[:t]) @ _rdiv(L[t:, :t], L[:t, :t]).T
-    cmy = b[t:] + (Y - b[:t]) @ _rdiv(M[t:, :t], M[:t, :t]).T
-    cross = np.sum((cmx - cmy) ** 2, axis=1)
-    return past + cross + _abw_sq(L[t:, t:], M[t:, t:])
+    gx = _rdiv(L[t:, :t], L[:t, :t]).T
+    gy = _rdiv(M[t:, :t], M[:t, :t]).T
+    tail = _abw_sq(L[t:, t:], M[t:, t:])
+
+    def value(X, Y):
+        past = np.sum((X - Y) ** 2, axis=1)
+        cmx = a[t:] + (X - a[:t]) @ gx
+        cmy = b[t:] + (Y - b[:t]) @ gy
+        cross = np.sum((cmx - cmy) ** 2, axis=1)
+        return past + cross + tail
+
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +98,7 @@ def value_function(
     t = check_split(t, mu.dim, allow_ends=True)
     x = as_vector(x_past, dim=t, name="x_past") if t else np.zeros(0)
     y = as_vector(y_past, dim=t, name="y_past") if t else np.zeros(0)
-    value = float(_value_batch(mu, nu, t, x[None, :], y[None, :])[0])
+    value = float(_value_fn(mu, nu, t)(x[None, :], y[None, :])[0])
     if t == mu.dim:
         alpha = None
     else:
@@ -155,9 +168,11 @@ def dpp_recursion_check(
     x_nodes = mx + sx * z
     X_next = np.column_stack([np.repeat(x[None, :], z.shape[0], axis=0), x_nodes])
 
+    value_next = _value_fn(mu, nu, t + 1)
+
     def one_step(y_nodes):
         Y_next = np.column_stack([np.repeat(y[None, :], z.shape[0], axis=0), y_nodes])
-        return float(w @ _value_batch(mu, nu, t + 1, X_next, Y_next))
+        return float(w @ value_next(X_next, Y_next))
 
     como = one_step(my + sy * z)
     counter = one_step(my - sy * z)
@@ -268,8 +283,8 @@ def dpp_solve_discrete(
     check_same_dim(mu, nu)
     N = mu.dim
     m = int(points_per_dim)
-    if m < 2 and N <= 3:
-        raise BadParameter(f"points_per_dim must be >= 2, got {m}")
+    if m < MIN_POINTS_PER_DIM and N <= 3:
+        raise BadParameter(f"points_per_dim must be >= {MIN_POINTS_PER_DIM}, got {m}")
     if (too_large := _discrete_size_error(N, m)) is not None:
         raise TooLarge(too_large)
 
@@ -326,34 +341,45 @@ def monte_carlo_cost(
     ``||X - Y||^2`` (or the weighted square cost when ``weights``, strictly
     positive as for :func:`~awgauss.distances.weighted_bicausal_value`, are given)
     and its standard error.  Deterministic for a fixed seed.
+
+    The paths are held time-major, one contiguous row of ``n`` samples per
+    time, so every elementwise step runs along the long axis.  Unweighted
+    costs at ``N < 8`` are summed over the rows, which is the left-to-right
+    order numpy uses for a sum of fewer than 8 terms; larger ``N`` and
+    weights reduce a sample-major copy, as ``sq.sum(axis=1)`` or ``sq @ w``.
+    The result is bitwise that of the sample-major form, and the normal draws
+    set the floor of a call.
     """
     check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
     w = None if weights is None else as_weights(weights, dim=mu.dim)
     n = int(n)
-    if n < 1000:
-        raise BadParameter(f"Monte Carlo needs n >= 1000 samples, got {n}")
+    if n < MIN_MC_SAMPLES:
+        raise BadParameter(f"Monte Carlo needs n >= {MIN_MC_SAMPLES} samples, got {n}")
     rng = np.random.default_rng(seed)
     eps_x = rng.standard_normal((n, mu.dim))
-    # every step below is the same IEEE operation as the out-of-place
-    # expression, so results are bitwise equal to it; the per-column in-place
-    # ops replace broadcasts whose inner loop would run over the short time axis
-    X = eps_x @ mu.chol.T
+    # L @ eps.T is the transpose of eps @ L.T bit for bit; the (N, n) products
+    # and the in-place steps below are the sample-major form's IEEE operations
+    X = mu.chol @ eps_x.T
     if np.all(np.abs(r) == 1.0):
         # rho_t = +-1 is exact in any product: (rho_t eps) M equals eps (M rho_t)
-        Y = eps_x @ (nu.chol * r).T
+        Y = (nu.chol * r) @ eps_x.T
     else:
         eps_y = rng.standard_normal((n, mu.dim))
+        # per column: a broadcast over (n, N) would run its inner loop over N
         for ey, ex, s, rt in zip(eps_y.T, eps_x.T, np.sqrt(1.0 - r**2), r):
             ey *= s
             ey += rt * ex
-        Y = eps_y @ nu.chol.T
-    for x, y, a, b in zip(X.T, Y.T, mu.mean, nu.mean):
-        x += a
-        y += b
+        Y = nu.chol @ eps_y.T
+    X += mu.mean[:, None]
+    Y += nu.mean[:, None]
     X -= Y
     X *= X
-    cost = X.sum(axis=1) if w is None else X @ w
+    if w is None and mu.dim < 8:
+        cost = X.sum(axis=0)
+    else:
+        sq = np.ascontiguousarray(X.T)
+        cost = sq.sum(axis=1) if w is None else sq @ w
     return MonteCarloEstimate(
         estimate=float(cost.mean()),
         standard_error=float(cost.std(ddof=1) / math.sqrt(n)),

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from awgauss import GaussianSpec, couplings
+from awgauss import GaussianSpec, couplings, verify
 from awgauss.cli import main
 
 REFLECTED = {
@@ -259,6 +259,27 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--tolerance-scale needs a finite value > 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--mc-samples", "500", "--mc-samples needs at least 1000 samples"),
+            ("--mc-samples", "0", "--mc-samples needs at least 1000 samples"),
+            ("--grid-m", "1", "--grid-m needs at least 2 nodes per time step"),
+            ("--grid-m", "0", "--grid-m needs at least 2 nodes per time step"),
+            ("--grid-m", "-3", "--grid-m needs at least 2 nodes per time step"),
+        ],
+    )
+    def test_oracle_sizes_below_the_oracle_floors_are_parse_errors(
+        self, tmp_path, capsys, monkeypatch, option, value, message
+    ):
+        # refused before any check runs, not an invariant violation after the pair checks
+        monkeypatch.setattr(verify, "_pair_checks", lambda *args: pytest.fail("a check ran"))
+        for source in (["--random", "2"], [_write(tmp_path, REFLECTED)]):
+            assert main(["verify", *source, "--level", "full", option, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
 
 # a covariance-built 3-d problem

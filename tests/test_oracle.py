@@ -339,6 +339,26 @@ class TestMonteCarlo:
         got = monte_carlo_cost(mu, nu, rho, n, seed=13, weights=w)
         assert got == out_of_place_monte_carlo(mu, nu, rho, n, 13, weights=w)
 
+    @pytest.mark.parametrize("kind", ["interior", "mixed_signs", "ones"])
+    @pytest.mark.parametrize("dim", [7, 8, 9, 16, 64, 130])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_time_major_bitwise_across_the_sum_blocks(
+        self, out_of_place_monte_carlo, kind, dim, weighted
+    ):
+        # dims on both sides of numpy's 8-term summation block and its 128-term
+        # split; unweighted interior rho at N = 16 tells a sum over the time
+        # rows from the sample-major sum in the last bit of the standard error
+        rng = np.random.default_rng(900 + dim)
+        mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+        rho = {
+            "interior": rng.uniform(-1.0, 1.0, dim),
+            "mixed_signs": np.where(np.arange(dim) % 2, 1.0, -1.0),
+            "ones": np.ones(dim),
+        }[kind]
+        w = rng.uniform(0.5, 2.0, dim) if weighted else None
+        got = monte_carlo_cost(mu, nu, rho, 20_000, seed=5, weights=w)
+        assert got == out_of_place_monte_carlo(mu, nu, rho, 20_000, 5, weights=w)
+
     @pytest.mark.parametrize("rho, draws", [([1.0, -1.0], 1), ([1.0, 0.5], 2)])
     def test_noise_is_drawn_only_for_interior_correlations(
         self, reflected_pair, monkeypatch, rho, draws
