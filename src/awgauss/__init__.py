@@ -61,20 +61,35 @@ from .linalg import (
     sample,
     sqrtm,
 )
-from .oracle import (
-    MonteCarloEstimate,
-    RecursionCheckReport,
-    RhoGridResult,
-    ValueFunctionEval,
-    dpp_recursion_check,
-    dpp_solve_discrete,
-    monte_carlo_cost,
-    rho_grid_search,
-    value_function,
-)
 from .problems import Problem, ProblemFormatError, load_problem, parse_problem
 
 __version__ = "0.1.0"
+
+# the oracle layer, and with it scipy, loads on first use (PEP 562): the
+# closed forms, maps and curves need numpy alone
+_ORACLE_NAMES = frozenset({
+    "MonteCarloEstimate",
+    "RecursionCheckReport",
+    "RhoGridResult",
+    "ValueFunctionEval",
+    "dpp_recursion_check",
+    "dpp_solve_discrete",
+    "monte_carlo_cost",
+    "rho_grid_search",
+    "value_function",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)
 
 __all__ = [
     "AdaptedMapResult",

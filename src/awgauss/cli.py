@@ -24,7 +24,6 @@ from . import figures, geodesics, verify
 from .couplings import _sign_selection, coupling_cost, coupling_pi_p
 from .distances import aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
 from .errors import AwGaussError
-from .oracle import MIN_MC_SAMPLES, MIN_POINTS_PER_DIM
 from .problems import ProblemFormatError, load_problem, problem_echo
 
 _W, _KR, _AW = geodesics.WASSERSTEIN, geodesics.KNOTHE_ROSENBLATT, geodesics.ADAPTED
@@ -233,7 +232,10 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise ProblemFormatError(
             f"--tolerance-scale needs a finite value > 0, got {args.tolerance_scale}"
         )
-    # the oracles' own floors, refused before any check runs
+    # the oracles' own floors, refused before any check runs; the import loads
+    # scipy, which no other subcommand needs
+    from .oracle import MIN_MC_SAMPLES, MIN_POINTS_PER_DIM
+
     if args.mc_samples < MIN_MC_SAMPLES:
         raise ProblemFormatError(
             f"--mc-samples needs at least {MIN_MC_SAMPLES} samples, got {args.mc_samples}"

@@ -88,7 +88,10 @@ def parse_problem(doc) -> Problem:
 
 def load_problem(path) -> Problem:
     """Load and parse a problem file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFormatError(f"{path}: cannot read the problem file: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,7 +15,6 @@ import numpy as np
 from .couplings import _coupling_cost, _sign_selection, aw_map, brenier_map, coupling_cost, kr_map
 from .distances import _abw_sq, aw2, kr2, wasserstein2
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
-from .oracle import _discrete_size_error, dpp_recursion_check, dpp_solve_discrete, monte_carlo_cost
 
 FAST = "fast"
 FULL = "full"
@@ -107,6 +106,9 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
         )
     if oracles is None:
         return results
+
+    # the oracle layer loads scipy, so it is imported only when an oracle runs
+    from .oracle import _discrete_size_error, dpp_recursion_check, dpp_solve_discrete, monte_carlo_cost
 
     grid_m, mc_samples = oracles
     if _discrete_size_error(mu.dim, grid_m) is None:

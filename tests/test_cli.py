@@ -355,6 +355,21 @@ class TestExitCodes:
         path.write_text("this is not json")
         assert main(["dist", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command", [["dist"], ["coupling"], ["geodesic", "--t", "0.5"], ["verify"], ["figure"]]
+    )
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_problem_file_is_parse_error(self, tmp_path, capsys, command, case):
+        path = tmp_path / "problem.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b'{"mu": "\xff"}')
+        code = main([command[0], str(path), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"parse error: {path}: ")
+
     def test_missing_field_is_parse_error(self, tmp_path, capsys):
         path = _write(tmp_path, {"mu": {"mean": [0.0], "cov": [[1.0]]}})
         assert main(["dist", path]) == 2
