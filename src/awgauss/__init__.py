@@ -59,7 +59,6 @@ from .linalg import (
     random_gaussian,
     random_spd,
     sample,
-    sqrtm,
 )
 from .problems import Problem, ProblemFormatError, load_problem, parse_problem
 
@@ -147,7 +146,6 @@ __all__ = [
     "random_spd",
     "rho_grid_search",
     "sample",
-    "sqrtm",
     "value_function",
     "wasserstein2",
     "weighted_bicausal_value",

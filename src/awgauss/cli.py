@@ -232,18 +232,20 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise ProblemFormatError(
             f"--tolerance-scale needs a finite value > 0, got {args.tolerance_scale}"
         )
-    # the oracles' own floors, refused before any check runs; the import loads
-    # scipy, which no other subcommand needs
-    from .oracle import MIN_MC_SAMPLES, MIN_POINTS_PER_DIM
+    if args.level == verify.FULL:
+        # the oracles' own floors, refused before any check runs; the import
+        # loads scipy, which only the full level's oracles need
+        from .oracle import MIN_MC_SAMPLES, MIN_POINTS_PER_DIM
 
-    if args.mc_samples < MIN_MC_SAMPLES:
-        raise ProblemFormatError(
-            f"--mc-samples needs at least {MIN_MC_SAMPLES} samples, got {args.mc_samples}"
-        )
-    if args.grid_m < MIN_POINTS_PER_DIM:
-        raise ProblemFormatError(
-            f"--grid-m needs at least {MIN_POINTS_PER_DIM} nodes per time step, got {args.grid_m}"
-        )
+        if args.mc_samples < MIN_MC_SAMPLES:
+            raise ProblemFormatError(
+                f"--mc-samples needs at least {MIN_MC_SAMPLES} samples, got {args.mc_samples}"
+            )
+        if args.grid_m < MIN_POINTS_PER_DIM:
+            raise ProblemFormatError(
+                f"--grid-m needs at least {MIN_POINTS_PER_DIM} nodes per time step, "
+                f"got {args.grid_m}"
+            )
     if args.problem is not None:
         problem = load_problem(args.problem)
         pairs = [(problem.mu, problem.nu)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import FREE_TOL, _sign_rule, as_weights  # noqa: F401  (FREE_TOL re-exported)
+from .distances import _sign_rule, as_weights
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
     GaussianSpec, _rdiv, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional,
@@ -38,7 +38,7 @@ class SignSelection:
     """Optimal per-time correlation signs for a pair of Cholesky factors.
 
     ``rho[t] = sign(diag(L^T M)_t)`` wherever that diagonal entry is nonzero;
-    entries within ``FREE_TOL * ||L||_F ||M||_F`` of zero leave the cost
+    entries within ``distances.FREE_TOL * ||L||_F ||M||_F`` of zero leave the cost
     unchanged in that direction, default to +1 (the synchronous choice), and
     are reported in ``free_indices`` (1-based time indices).  ``unique`` is
     true iff there are no free indices.  The last entry is always +1 since

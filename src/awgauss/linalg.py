@@ -64,7 +64,13 @@ def _first_unfactorable(S: np.ndarray) -> tuple:
 
 def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
     """Shape, finiteness and symmetry gates on each matrix of a ``(..., N, N)``
-    stack; returns the stack symmetrized (see :func:`as_spd`)."""
+    stack; returns the stack symmetrized.
+
+    Asymmetry up to ``SYM_TOL`` relative to the largest entry is treated as
+    float noise from upstream products and absorbed by averaging with the
+    transpose; anything larger raises :class:`NotSymmetric`.  Positive
+    definiteness is *not* checked here (see :func:`cholesky`).
+    """
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     if M.shape[-1] < 1:
@@ -86,20 +92,6 @@ def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
     return (M + Mt) / 2.0
 
 
-def as_spd(A, *, name: str = "matrix") -> np.ndarray:
-    """Validate shape, finiteness and symmetry of ``A``; return it symmetrized.
-
-    Asymmetry up to ``SYM_TOL`` relative to the largest entry is treated as
-    float noise from upstream products and absorbed by averaging with the
-    transpose; anything larger raises :class:`NotSymmetric`.  Positive
-    definiteness is *not* checked here (see :func:`cholesky`).
-    """
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    return _symmetrized(M, name)
-
-
 def cholesky(A) -> np.ndarray:
     """Lower-triangular Cholesky factor of each positive definite matrix.
 
@@ -109,8 +101,8 @@ def cholesky(A) -> np.ndarray:
         A symmetric positive definite matrix or a stack of them.  Every
         matrix passes the gates of a single call on its own, with its own
         scale: finite entries, asymmetry at most ``SYM_TOL * max|A|``
-        (absorbed, as in :func:`as_spd`), ``max(diag A) > 0`` and every
-        pivot above ``PD_TOL * max(diag A)``.
+        (absorbed by averaging with the transpose), ``max(diag A) > 0`` and
+        every pivot above ``PD_TOL * max(diag A)``.
 
     Returns
     -------
@@ -188,19 +180,6 @@ def as_cholesky_factor(L, *, name: str = "cholesky factor") -> np.ndarray:
     return M
 
 
-def sqrtm(A) -> np.ndarray:
-    """Unique symmetric positive definite square root of an SPD matrix.
-
-    Uses a symmetric eigendecomposition; at the small horizons this library
-    targets, exactness beats iterative schemes.
-    """
-    S = as_spd(A)
-    _factor(S)  # positive-definiteness gate, same tolerance policy everywhere
-    w, V = np.linalg.eigh(S)
-    R = (V * np.sqrt(w)) @ V.T
-    return (R + R.T) / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
     """A non-degenerate Gaussian law on R^N.
@@ -218,7 +197,10 @@ class GaussianSpec:
 
     def __post_init__(self):
         mean = as_vector(self.mean, name="mean")
-        cov = as_spd(self.cov, name="covariance")
+        cov = np.asarray(self.cov, dtype=float)
+        if cov.ndim != 2:
+            raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")
+        cov = _symmetrized(cov, "covariance")
         if mean.shape[0] != cov.shape[0]:
             raise DimensionMismatch(
                 f"mean has length {mean.shape[0]} but covariance is "

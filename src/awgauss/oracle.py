@@ -285,6 +285,9 @@ def dpp_solve_discrete(
     m = int(points_per_dim)
     if m < MIN_POINTS_PER_DIM and N <= 3:
         raise BadParameter(f"points_per_dim must be >= {MIN_POINTS_PER_DIM}, got {m}")
+    samples = int(assignment_samples)
+    if samples < 0:
+        raise BadParameter(f"assignment_samples must be >= 0, got {samples}")
     if (too_large := _discrete_size_error(N, m)) is not None:
         raise TooLarge(too_large)
 
@@ -303,7 +306,7 @@ def dpp_solve_discrete(
     counter = ax[:, None] + ay[None, :] - 2.0 * (Xc @ Yc[:, ::-1].T) / m
     V = past2 + np.minimum(como, counter)
     _refine(
-        V, rng, assignment_samples,
+        V, rng, samples,
         lambda i, j: past2[i, j] + _assignment_value((Xc[i][:, None] - Yc[j][None, :]) ** 2),
     )
 

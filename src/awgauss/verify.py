@@ -8,7 +8,7 @@ was held to, so reports are machine readable and failures are diagnosable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,14 +31,7 @@ class CheckResult:
     note: str = ""
 
     def as_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "pair": self.pair,
-            "passed": bool(self.passed),
-            "observed": self.observed,
-            "bound": self.bound,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _result(name, pair, observed, bound, note="") -> CheckResult:

@@ -12,7 +12,6 @@ from awgauss import (
     conditional,
     random_spd,
     sample,
-    sqrtm,
 )
 from awgauss import linalg
 from awgauss.linalg import as_cholesky_factor
@@ -161,27 +160,6 @@ class TestFactorValidation:
             as_cholesky_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
-class TestSqrtm:
-    def test_identity(self):
-        np.testing.assert_allclose(sqrtm(np.eye(3)), np.eye(3), atol=1e-15)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(sqrtm(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    @pytest.mark.parametrize("dim", [2, 3, 6])
-    def test_multiply_back(self, dim):
-        rng = np.random.default_rng(dim)
-        for _ in range(25):
-            A = random_spd(dim, rng)
-            S = sqrtm(A)
-            np.testing.assert_array_equal(S, S.T)
-            assert np.linalg.norm(S @ S - A) / np.linalg.norm(A) <= 1e-10
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            sqrtm(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
 class TestOneGatePerMatrix:
     @pytest.fixture
     def gates(self, monkeypatch):
@@ -200,10 +178,6 @@ class TestOneGatePerMatrix:
         L = GaussianSpec(np.zeros(3), A).chol
         assert gates == ["covariance"]
         np.testing.assert_array_equal(L, cholesky(A))
-
-    def test_sqrtm(self, gates):
-        sqrtm(random_spd(3, np.random.default_rng(1)))
-        assert len(gates) == 1
 
     def test_gated_factor_keeps_pivot_gate(self):
         with pytest.raises(NotPositiveDefinite, match="smallest Cholesky pivot"):
@@ -225,6 +199,33 @@ class TestGaussianSpec:
         spec = GaussianSpec(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
             spec.cov[0, 0] = 7.0
+
+    @pytest.mark.parametrize(
+        "cov, error, message",
+        [
+            (np.ones(2), DimensionMismatch, "covariance must be square, got shape (2,)"),
+            (
+                np.ones((2, 2, 2)), DimensionMismatch,
+                "covariance must be square, got shape (2, 2, 2)",
+            ),
+            (np.ones((2, 3)), DimensionMismatch, "covariance must be square, got shape (2, 3)"),
+            (np.ones((0, 0)), DimensionMismatch, "covariance must have dimension >= 1"),
+            (
+                np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteValue,
+                "covariance contains non-finite entries",
+            ),
+            (
+                np.array([[1.0, 0.3], [0.0, 1.0]]), NotSymmetric,
+                "covariance is not symmetric: max|A - A^T| = 3.000e-01 "
+                "exceeds 1e-12 * max|A| = 1.000e-12",
+            ),
+        ],
+        ids=["1-d", "3-d", "2x3", "0x0", "nan", "asymmetric"],
+    )
+    def test_gate_messages(self, cov, error, message):
+        with pytest.raises(error) as info:
+            GaussianSpec(np.zeros(2), cov)
+        assert str(info.value) == message
 
 
 class TestConditional:

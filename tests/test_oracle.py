@@ -259,6 +259,12 @@ class TestDiscreteSolver:
         with pytest.raises(BadParameter):
             dpp_solve_discrete(mu2, nu2, 1)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_negative_assignment_samples_are_a_bad_parameter(self, dim):
+        mu, nu = _random_pair(dim, 20 + dim)
+        with pytest.raises(BadParameter, match="assignment_samples must be >= 0, got -1"):
+            dpp_solve_discrete(mu, nu, 4, assignment_samples=-1)
+
 
 class TestMonteCarlo:
     def test_self_coupling_is_exactly_zero(self):
