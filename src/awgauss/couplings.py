@@ -134,7 +134,7 @@ def coupling_pi_p(mu: GaussianSpec, nu: GaussianSpec, rho) -> JointGaussianCoupl
     cov = np.block([[mu.cov, cross], [cross.T, nu.cov]])
     cov = (cov + cov.T) / 2.0
     w = np.linalg.eigvalsh(cov)
-    if w[0] < -1e-9 * max(w[-1], 1.0):
+    if w[0] < -1e-9 * w[-1]:
         raise NumericalInconsistency(
             f"joint covariance not PSD: min eigenvalue {w[0]:.3e}"
         )

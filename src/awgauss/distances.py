@@ -33,17 +33,17 @@ from .errors import (
 from .linalg import GaussianSpec, as_vector, check_same_dim, cholesky
 
 #: squared distances are mathematically nonnegative; float residue down to
-#: -CLAMP_TOL is clamped to zero, anything lower is treated as a bug
-CLAMP_TOL = 1e-9
+#: -CLAMP_TOL times the cancelling terms is clamped to zero, lower is a bug
+CLAMP_TOL = 1e-12
 #: |diag(L^T M)_t| at or below FREE_TOL * ||L||_F * ||M||_F counts as zero,
 #: i.e. the correlation at time t is a free (non-unique) direction
 FREE_TOL = 1e-12
 
 
-def clamp_sq(value: float, *, what: str = "squared distance") -> float:
-    """Clamp tiny negative float residue of a nonnegative quantity to zero."""
-    if value < -CLAMP_TOL:
-        raise NumericalInconsistency(f"{what} = {value!r} is negative beyond float noise")
+def clamp_sq(value: float, scale: float) -> float:
+    """Clamp residue of a nonnegative difference of terms of size ``scale`` to zero."""
+    if value < -CLAMP_TOL * scale:
+        raise NumericalInconsistency(f"squared distance = {value!r} is negative beyond float noise")
     return max(value, 0.0)
 
 
@@ -131,7 +131,8 @@ def _abw_sq(L: np.ndarray, M: np.ndarray):
 
 def _bw_sq(L: np.ndarray, M: np.ndarray) -> float:
     cross = float(np.sum(np.linalg.svd(L.T @ M, compute_uv=False)))
-    return clamp_sq(_frobenius_sq(L) + _frobenius_sq(M) - 2.0 * cross)
+    traces = _frobenius_sq(L) + _frobenius_sq(M)  # Tr A + Tr B
+    return clamp_sq(traces - 2.0 * cross, traces)
 
 
 def _process(mu: GaussianSpec, nu: GaussianSpec, cov_sq) -> DistanceReport:

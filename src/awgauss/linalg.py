@@ -75,12 +75,13 @@ def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     if M.shape[-1] < 1:
         raise DimensionMismatch(f"{name} must have dimension >= 1")
+    # max|M| is NaN or inf exactly when some entry is, so the scale pass is
+    # also the finiteness gate; asym comes after it, as inf - inf would warn
+    scale = np.max(np.abs(M), axis=(-2, -1))
     _raise_first(
-        ~np.isfinite(M).all(axis=(-2, -1)), NonFiniteValue,
-        lambda idx: f"{name} contains non-finite entries",
+        ~np.isfinite(scale), NonFiniteValue, lambda idx: f"{name} contains non-finite entries"
     )
     Mt = np.swapaxes(M, -1, -2)
-    scale = np.max(np.abs(M), axis=(-2, -1))
     asym = np.max(np.abs(M - Mt), axis=(-2, -1))
     _raise_first(
         asym > SYM_TOL * np.maximum(scale, np.finfo(float).tiny), NotSymmetric,
@@ -150,7 +151,7 @@ def _factor(S: np.ndarray) -> np.ndarray:
             f"{PD_TOL:.0e} * max diag = {PD_TOL * max_diag[idx]:.3e}"
         ),
     )
-    return np.tril(L)
+    return L  # numpy writes exact +0.0 above the diagonal
 
 
 def _degenerate(min_eig: float, cov: np.ndarray) -> bool:

@@ -47,9 +47,8 @@ def _value_fn(mu: GaussianSpec, nu: GaussianSpec, t: int):
     ``(X, Y)`` of shape (n, t); its gains and trailing cost are computed once."""
     L, M = mu.chol, nu.chol
     a, b = mu.mean, nu.mean
-    if t == mu.dim:
-        return lambda X, Y: np.sum((X - Y) ** 2, axis=1)
-    # conditional means; at t = 0 the gains are empty and these are the means
+    # conditional means; at t = 0 the gains are empty and these are the means,
+    # at t = N they and the tail are empty and the value is the past cost
     gx = _rdiv(L[t:, :t], L[:t, :t]).T
     gy = _rdiv(M[t:, :t], M[:t, :t]).T
     tail = _abw_sq(L[t:, t:], M[t:, t:])
@@ -96,8 +95,8 @@ def value_function(
     """
     check_same_dim(mu, nu)
     t = check_split(t, mu.dim, allow_ends=True)
-    x = as_vector(x_past, dim=t, name="x_past") if t else np.zeros(0)
-    y = as_vector(y_past, dim=t, name="y_past") if t else np.zeros(0)
+    x = as_vector(x_past, dim=t, name="x_past")
+    y = as_vector(y_past, dim=t, name="y_past")
     value = float(_value_fn(mu, nu, t)(x[None, :], y[None, :])[0])
     if t == mu.dim:
         alpha = None
@@ -127,33 +126,27 @@ class RecursionCheckReport:
     abs_error: float
 
 
-@functools.lru_cache(maxsize=8)
-def _hermite_rule(quad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights normalized to sum 1, per ``quad``."""
-    z, w = roots_hermitenorm(quad)
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 64-node Gauss-Hermite nodes and weights normalized to sum 1."""
+    z, w = roots_hermitenorm(64)
     w = w / w.sum()
     z.flags.writeable = w.flags.writeable = False
     return z, w
 
 
 def dpp_recursion_check(
-    mu: GaussianSpec, nu: GaussianSpec, t: int, x_past, y_past, quad: int = 256
+    mu: GaussianSpec, nu: GaussianSpec, t: int, x_past, y_past
 ) -> RecursionCheckReport:
     """Numerically verify one step of the dynamic-programming recursion.
 
-    Parameters
-    ----------
-    quad : int
-        Number of Gauss-Hermite quadrature nodes (>= 16).  The integrand is a
-        quadratic polynomial of the shared standard normal driver, so the
-        quadrature is exact and ``quad`` only guards against misuse.
+    The integrand is a quadratic polynomial of the shared standard normal
+    driver, so the 64-node Gauss-Hermite rule is exact up to roundoff.
     """
     evaluation = value_function(mu, nu, t, x_past, y_past)
     t, x, y = evaluation.t, evaluation.x_past, evaluation.y_past
     if t >= mu.dim:
         raise BadSplit(f"recursion step needs t < N, got t={t}, N={mu.dim}")
-    if quad < 16:
-        raise BadParameter(f"quadrature size {quad} below the minimum of 16")
     L, M = mu.chol, nu.chol
     a, b = mu.mean, nu.mean
     # one-row divisions, not rows of the full gain: those differ from these in
@@ -164,7 +157,7 @@ def dpp_recursion_check(
     my = float(b[t] + ry @ (y - b[:t]))
     sx, sy = float(L[t, t]), float(M[t, t])
 
-    z, w = _hermite_rule(int(quad))
+    z, w = _hermite_rule()
     x_nodes = mx + sx * z
     X_next = np.column_stack([np.repeat(x[None, :], z.shape[0], axis=0), x_nodes])
 
@@ -202,13 +195,10 @@ def _quantile_tree(spec: GaussianSpec, z: np.ndarray):
     paths = np.zeros((1, 0))
     children = []
     for s in range(spec.dim):
-        if s == 0:
-            cm = np.full(1, a[0])
-            var = float(S[0, 0])
-        else:
-            gain = np.linalg.solve(S[:s, :s], S[:s, s])
-            var = float(S[s, s] - S[s, :s] @ gain)
-            cm = a[s] + (paths - a[:s]) @ gain
+        # at s = 0 the solve is empty: the root node law is a[0], S[0, 0]
+        gain = np.linalg.solve(S[:s, :s], S[:s, s])
+        var = float(S[s, s] - S[s, :s] @ gain)
+        cm = a[s] + (paths - a[:s]) @ gain
         sd = math.sqrt(max(var, 0.0))
         ch = cm[:, None] + sd * z[None, :]
         children.append(ch)
@@ -296,7 +286,7 @@ def dpp_solve_discrete(
     y_paths, y_children = _quantile_tree(nu, z)
     rng = np.random.default_rng(seed)
 
-    past2 = cdist(x_paths, y_paths, "sqeuclidean") if N > 1 else np.zeros((1, 1))
+    past2 = cdist(x_paths, y_paths, "sqeuclidean")  # [[0.]] for the empty pasts at N = 1
 
     # final step: tail cost is (x_N - y_N)^2 over the children nodes
     Xc, Yc = x_children[-1], y_children[-1]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .couplings import _coupling_cost, _sign_selection, aw_map, brenier_map, coupling_cost, kr_map
 from .distances import _abw_sq, aw2, kr2, wasserstein2
+from .errors import BadParameter
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
 
 FAST = "fast"
@@ -131,7 +132,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
     for t in range(mu.dim):
         x = rng.standard_normal(t)
         y = rng.standard_normal(t)
-        rep = dpp_recursion_check(mu, nu, t, x, y, quad=64)
+        rep = dpp_recursion_check(mu, nu, t, x, y)
         worst = max(worst, rep.abs_error / (1.0 + rep.value))
     results.append(_result("value_function_recursion", pair, worst, 1e-8 * scale))
     return results
@@ -157,7 +158,7 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run the named check suite over the given problem pairs."""
     if level not in LEVELS:
-        raise ValueError(f"unknown verification level {level!r}; expected one of {LEVELS}")
+        raise BadParameter(f"unknown verification level {level!r}; expected one of {LEVELS}")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     oracles = (grid_m, mc_samples) if level == FULL else None

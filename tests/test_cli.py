@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from awgauss import GaussianSpec, couplings, verify
+from awgauss import GaussianSpec, couplings, random_spd, verify
 from awgauss.cli import main
 
 REFLECTED = {
@@ -70,6 +70,16 @@ class TestDist:
         assert doc["kr2"] == 0.0
         assert doc["w2"] <= 1e-6
         assert doc["kr_optimal"] is True
+
+    def test_identical_laws_at_large_scale(self, tmp_path, capsys):
+        # the second law of the seeded sweep in test_distances; its W2 radicand
+        # reads -1.9e-9, float noise beside Tr A + Tr B ~ 1e7
+        rng = np.random.default_rng(0)
+        cov = [1e6 * random_spd(4, rng) for _ in range(2)][1].tolist()
+        law = {"mean": [0.0] * 4, "cov": cov}
+        code, doc = _run(capsys, ["dist", _write(tmp_path, {"mu": law, "nu": law})])
+        assert code == 0
+        assert doc["w2"] == 0.0
 
     def test_tied_pair_flags_nonuniqueness(self, tmp_path, capsys):
         path = _write(tmp_path, TIED)

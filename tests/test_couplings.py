@@ -13,6 +13,7 @@ from awgauss import (
     NonPositiveWeight,
     NotPositiveDefinite,
     NotSymmetric,
+    NumericalInconsistency,
     aw2,
     aw_map,
     brenier_map,
@@ -26,6 +27,7 @@ from awgauss import (
     monte_carlo_cost,
     optimal_sign,
     random_gaussian,
+    random_spd,
 )
 from awgauss import couplings
 
@@ -180,6 +182,32 @@ class TestCouplingPiP:
         w = np.linalg.eigvalsh(boundary.cov)
         assert w[0] >= -1e-9 * w[-1]  # PSD
         assert w[0] <= 1e-9 * w[-1]  # but singular
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_fault_check_is_relative_to_the_spectrum(self, monkeypatch, scale):
+        # a joint spectrum whose least eigenvalue is -1e-3 of its largest is
+        # no float noise at any scale; below unit scale an absolute floor of
+        # 1e-9 would let it pass
+        mu, nu = (GaussianSpec(s.mean, scale * s.cov) for s in _random_pair(3, 66))
+        eigvalsh = np.linalg.eigvalsh
+
+        def faulty(a):
+            w = eigvalsh(a)
+            w[0] = -1e-3 * w[-1]
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+        with pytest.raises(NumericalInconsistency, match="joint covariance not PSD"):
+            coupling_pi_p(mu, nu, [1.0, -1.0, 0.5])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_no_false_alarm(self, dim, scale):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            mu, nu = (GaussianSpec(rng.standard_normal(dim), scale * random_spd(dim, rng)) for _ in range(2))
+            for rho in (optimal_sign(mu.chol, nu.chol).rho, np.ones(dim), rng.uniform(-1.0, 1.0, dim)):
+                coupling_pi_p(mu, nu, rho)
 
 
 class TestCouplingCost:

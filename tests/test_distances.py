@@ -9,6 +9,7 @@ from awgauss import (
     GaussianSpec,
     NonPositiveWeight,
     NotPositiveDefinite,
+    NumericalInconsistency,
     abw_distance,
     aw2,
     aw_map,
@@ -27,7 +28,7 @@ from awgauss import (
     wasserstein2,
     weighted_bicausal_value,
 )
-from awgauss.distances import _abw_sq, _sign_rule
+from awgauss.distances import _abw_sq, _sign_rule, clamp_sq
 
 
 def _random_pair(dim, seed):
@@ -126,6 +127,37 @@ class TestWasserstein2:
         for mu, nu in _spec_pairs(dim, 300 + dim):
             got = wasserstein2(mu, nu).cov_term
             assert _rel(got, seed_bures_wasserstein_sq(mu.cov, nu.cov)) <= 1e-10
+
+
+class TestClamp:
+    """The W2 radicand ``Tr A + Tr B - 2||L^T M||_*`` is clamped relative to
+    ``Tr A + Tr B``, the size of the terms that cancel."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e8, 1e12])
+    def test_identical_laws_at_any_scale(self, scale):
+        # at x1e6 and x1e8 the old absolute clamp of 1e-9 raised on 55-58 of these
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            mu = GaussianSpec(np.zeros(4), scale * random_spd(4, rng))
+            rep = wasserstein2(mu, mu)
+            assert 0.0 <= rep.cov_term <= 1e-14 * 2.0 * float(np.trace(mu.cov))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+    def test_inflated_cross_term_raises(self, monkeypatch, scale):
+        mu = GaussianSpec(np.zeros(3), scale * random_spd(3, np.random.default_rng(1)))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd(*a, **k) * (1.0 + 1e-6))
+        with pytest.raises(NumericalInconsistency, match="negative beyond float noise"):
+            wasserstein2(mu, mu)
+
+    def test_bound_is_relative(self):
+        assert clamp_sq(-0.9e-12, 1.0) == 0.0
+        assert clamp_sq(-0.9e-4, 1e8) == 0.0
+        assert clamp_sq(2.5, 1.0) == 2.5
+        with pytest.raises(NumericalInconsistency):
+            clamp_sq(-1.1e-12, 1.0)
+        with pytest.raises(NumericalInconsistency):
+            clamp_sq(-1.1e-16, 1e-4)
 
 
 class TestKrDistance:

@@ -87,6 +87,8 @@ _BAD_MATRICES = [
     ),
     ([[1.0, np.nan], [np.nan, 1.0]], NonFiniteValue, "matrix contains non-finite entries"),
     ([[1.0, 0.0], [0.0, np.inf]], NonFiniteValue, "matrix contains non-finite entries"),
+    # gated before the asymmetry pass, where inf - inf would warn
+    ([[1.0, np.inf], [np.inf, 1.0]], NonFiniteValue, "matrix contains non-finite entries"),
     ([[-1.0, 0.0], [0.0, -1.0]], NotPositiveDefinite, "matrix has non-positive diagonal"),
     (
         [[1.0, 2.0], [2.0, 1.0]],
@@ -144,6 +146,20 @@ class TestStackedCholesky:
         singles = [random_spd(dim, single_rng) for _ in range(int(np.prod(shape)))]
         np.testing.assert_array_equal(stack.reshape(-1, dim, dim), singles)
         assert stacked_rng.standard_normal() == single_rng.standard_normal()
+
+
+class TestFactorIsNumpys:
+    """``cholesky`` returns numpy's factor as is: numpy writes exact +0.0
+    above the diagonal, so no ``np.tril`` pass is needed."""
+
+    @pytest.mark.parametrize("dim, shape", [(1, ()), (3, ()), (64, ()), (256, ()), (3, (1000,)), (8, (4, 5))])
+    def test_strict_upper_triangle_is_positive_zero(self, dim, shape):
+        A = random_spd(dim, np.random.default_rng(dim), shape)
+        A = (A + np.swapaxes(A, -1, -2)) / 2.0  # as the symmetry gate leaves it
+        L = np.linalg.cholesky(A)
+        upper = L[..., ~np.tri(dim, dtype=bool)]
+        assert np.all(upper == 0.0) and not np.signbit(upper).any()
+        np.testing.assert_array_equal(cholesky(A), L)
 
 
 class TestFactorValidation:

@@ -10,6 +10,7 @@ from awgauss import (
     BadSplit,
     DimensionMismatch,
     GaussianSpec,
+    NonFiniteValue,
     NonPositiveWeight,
     TooLarge,
     aw2,
@@ -92,20 +93,20 @@ class TestValueFunction:
 class TestRecursionCheck:
     def test_reflected_pair_root_step(self, reflected_pair):
         mu, nu = reflected_pair
-        rep = dpp_recursion_check(mu, nu, 0, [], [], quad=512)
+        rep = dpp_recursion_check(mu, nu, 0, [], [])
         assert abs(rep.one_step_value - 4.0) <= 1e-3
         assert rep.abs_error <= 1e-9
 
     def test_negative_alpha_prefers_countermonotone(self, reflected_pair):
         mu, nu = reflected_pair
-        rep = dpp_recursion_check(mu, nu, 0, [], [], quad=64)
+        rep = dpp_recursion_check(mu, nu, 0, [], [])
         assert rep.alpha_next < 0.0
         assert rep.countermonotone_value < rep.comonotone_value - 1e-6
         assert rep.one_step_value == rep.countermonotone_value
 
     def test_positive_alpha_prefers_comonotone(self, reflected_pair):
         mu, nu = reflected_pair
-        rep = dpp_recursion_check(mu, nu, 1, [0.5], [-0.4], quad=64)
+        rep = dpp_recursion_check(mu, nu, 1, [0.5], [-0.4])
         assert rep.alpha_next > 0.0
         assert rep.comonotone_value < rep.countermonotone_value - 1e-6
         assert rep.one_step_value == rep.comonotone_value
@@ -114,7 +115,7 @@ class TestRecursionCheck:
         mu, _ = _random_pair(3, 5)
         for t in range(3):
             x = np.full(t, 0.3)
-            rep = dpp_recursion_check(mu, mu, t, x, x, quad=32)
+            rep = dpp_recursion_check(mu, mu, t, x, x)
             assert rep.value == pytest.approx(0.0, abs=1e-12)
             assert rep.one_step_value == pytest.approx(0.0, abs=1e-10)
 
@@ -125,14 +126,14 @@ class TestRecursionCheck:
             for t in range(4):
                 x = rng.standard_normal(t)
                 y = rng.standard_normal(t)
-                rep = dpp_recursion_check(mu, nu, t, x, y, quad=48)
+                rep = dpp_recursion_check(mu, nu, t, x, y)
                 assert rep.abs_error <= 1e-9 * (1.0 + rep.value)
 
     def test_quadrature_rule_is_cached_read_only_and_unchanged(self):
         z, w = roots_hermitenorm(64)
         w = w / w.sum()
-        cached = _hermite_rule(64)
-        assert _hermite_rule(64) is cached
+        cached = _hermite_rule()
+        assert _hermite_rule() is cached
         assert np.array_equal(cached[0], z) and np.array_equal(cached[1], w)
         assert not cached[0].flags.writeable and not cached[1].flags.writeable
 
@@ -140,8 +141,6 @@ class TestRecursionCheck:
         mu, nu = reflected_pair
         with pytest.raises(BadSplit):
             dpp_recursion_check(mu, nu, 2, [0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(BadParameter):
-            dpp_recursion_check(mu, nu, 0, [], [], quad=8)
 
 
 class TestRecursionCheckGatesOnce:
@@ -159,27 +158,80 @@ class TestRecursionCheckGatesOnce:
         mu, nu = _random_pair(3, 11)
         for t in range(3):
             calls.clear()
-            dpp_recursion_check(mu, nu, t, np.full(t, 0.2), np.full(t, -0.1), quad=16)
+            dpp_recursion_check(mu, nu, t, np.full(t, 0.2), np.full(t, -0.1))
             assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "t, past, quad, error",
+        "t, past, error",
         [
-            (2, 2, 64, BadSplit),  # t = N
-            (3, 3, 64, BadSplit),  # t outside [0, N]
-            (1, 1, 8, BadParameter),  # quad < 16
-            (1, 2, 64, DimensionMismatch),  # past of the wrong length
+            (2, 2, BadSplit),  # t = N
+            (3, 3, BadSplit),  # t outside [0, N]
+            (1, 2, DimensionMismatch),  # past of the wrong length
         ],
     )
-    def test_each_singly_invalid_argument_keeps_its_error(self, reflected_pair, t, past, quad, error):
+    def test_each_singly_invalid_argument_keeps_its_error(self, reflected_pair, t, past, error):
         mu, nu = reflected_pair
         with pytest.raises(error):
-            dpp_recursion_check(mu, nu, t, np.zeros(past), np.zeros(past), quad=quad)
+            dpp_recursion_check(mu, nu, t, np.zeros(past), np.zeros(past))
 
     def test_dimension_mismatch_keeps_its_error(self, reflected_pair):
         mu, _ = reflected_pair
         with pytest.raises(DimensionMismatch):
             dpp_recursion_check(mu, random_gaussian(3, np.random.default_rng(0)), 0, [], [])
+
+
+class TestPastAtTheRoot:
+    """At ``t = 0`` the past is validated like at every other split."""
+
+    @pytest.mark.parametrize(
+        "past, error",
+        [([5.0, 6.0, 7.0], DimensionMismatch), ([np.nan], NonFiniteValue)],
+        ids=["wrong-length", "nan"],
+    )
+    @pytest.mark.parametrize("check", [value_function, dpp_recursion_check])
+    def test_bad_past_raises(self, reflected_pair, check, past, error):
+        mu, nu = reflected_pair
+        with pytest.raises(error):
+            check(mu, nu, 0, past, [])
+        with pytest.raises(error):
+            check(mu, nu, 0, [], past)
+
+
+class TestGeneralPathsAtTheEnds:
+    """The general formulas on empty blocks give bitwise what the special
+    cases they replaced gave; each old formula is written out here."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_terminal_value_is_the_past_cost(self, dim):
+        mu, nu = _random_pair(dim, 600 + dim)
+        rng = np.random.default_rng(dim)
+        X, Y = rng.standard_normal((7, dim)), rng.standard_normal((7, dim))
+        old = np.sum((X - Y) ** 2, axis=1)
+        np.testing.assert_array_equal(oracle._value_fn(mu, nu, dim)(X, Y), old)
+        assert value_function(mu, nu, dim, X[0], Y[0]).value == float(old[0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_quantile_tree_root_is_the_first_marginal(self, dim):
+        spec = _random_pair(dim, 700 + dim)[0]
+        z = ndtri((np.arange(5) + 0.5) / 5)
+        a, S = spec.mean, spec.cov
+        old = np.full(1, a[0])[:, None] + math.sqrt(max(float(S[0, 0]), 0.0)) * z[None, :]
+        np.testing.assert_array_equal(oracle._quantile_tree(spec, z)[1][0], old)
+
+    @pytest.mark.parametrize("m", [2, 5, 16])
+    def test_single_step_past_table_is_zero(self, monkeypatch, m):
+        tables = []
+        original = oracle.cdist
+
+        def recording(*args, **kwargs):
+            tables.append(original(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(oracle, "cdist", recording)
+        dpp_solve_discrete(*_random_pair(1, 800 + m), m)
+        (table,) = tables
+        np.testing.assert_array_equal(table, np.zeros((1, 1)))
+        assert not np.signbit(table).any()
 
 
 class TestDiscreteSolver:
@@ -481,7 +533,7 @@ class TestTriangularSolvesMatchScipy:
                     for zk in z
                 ])
 
-            rep = dpp_recursion_check(mu, nu, t, x, y, quad=64)
+            rep = dpp_recursion_check(mu, nu, t, x, y)
             assert rep.value == pytest.approx(_scipy_value(mu, nu, t, x, y), rel=1e-13)
             assert rep.comonotone_value == pytest.approx(one_step(1.0), rel=1e-13)
             assert rep.countermonotone_value == pytest.approx(one_step(-1.0), rel=1e-13)

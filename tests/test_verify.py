@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from awgauss import (
-    TooLarge, abw_distance, couplings, distances, dpp_solve_discrete, kr_distance, random_gaussian, verify,
+    AwGaussError, BadParameter, TooLarge, abw_distance, couplings, distances, dpp_solve_discrete, kr_distance, random_gaussian, verify,
 )
 from awgauss.oracle import _discrete_size_error
 from awgauss.verify import _global_checks, _pair_checks, random_pairs, run_verification
@@ -140,3 +140,10 @@ def test_full_report_unchanged_against_the_out_of_place_monte_carlo(
     expected = [r.as_doc() for r in run_verification(pairs, level="full", seed=9)]
     assert got == expected
     assert sum(d["name"].startswith("monte_carlo_") for d in got) == 3 * len(pairs)
+
+
+def test_unknown_level_is_a_domain_error():
+    with pytest.raises(BadParameter) as info:
+        run_verification(random_pairs(1, 0), level="bogus")
+    assert isinstance(info.value, AwGaussError)
+    assert str(info.value) == "unknown verification level 'bogus'; expected one of ('fast', 'full')"
