@@ -23,7 +23,7 @@ import numpy as np
 from . import figures, geodesics, verify
 from .couplings import _sign_selection, coupling_cost, coupling_pi_p
 from .distances import aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
-from .errors import AwGaussError
+from .errors import AwGaussError, NonFiniteValue
 from .problems import ProblemFormatError, load_problem, problem_echo
 
 _W, _KR, _AW = geodesics.WASSERSTEIN, geodesics.KNOTHE_ROSENBLATT, geodesics.ADAPTED
@@ -67,10 +67,6 @@ def _add_global_flags(parser, *, suppress: bool):
 
     parser.add_argument(
         "--seed", type=int, default=default(0), help="seed for any randomized step"
-    )
-    parser.add_argument(
-        "--tolerance-scale", type=float, default=default(1.0),
-        help="multiply all verification tolerances by this factor",
     )
     parser.add_argument(
         "--output", type=Path, default=default(None),
@@ -227,11 +223,6 @@ def cmd_geodesic(args) -> tuple[dict, int]:
 def cmd_verify(args) -> tuple[dict, int]:
     if (args.problem is None) == (args.random is None):
         raise ProblemFormatError("verify needs exactly one of a problem file or --random N")
-    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0.0):
-        # inf would widen every bound to inf and report a vacuous pass
-        raise ProblemFormatError(
-            f"--tolerance-scale needs a finite value > 0, got {args.tolerance_scale}"
-        )
     if args.level == verify.FULL:
         # the oracles' own floors, refused before any check runs; the import
         # loads scipy, which only the full level's oracles need
@@ -260,7 +251,6 @@ def cmd_verify(args) -> tuple[dict, int]:
         pairs,
         level=args.level,
         seed=args.seed,
-        tolerance_scale=args.tolerance_scale,
         grid_m=args.grid_m,
         mc_samples=args.mc_samples,
     )
@@ -279,11 +269,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_demo_incompleteness(args) -> tuple[dict, int]:
-    rows = []
-    for n in args.n_list:
-        value = incompleteness_limit(args.theta, args.theta_prime, n)
-        rows.append({"n": n, "aw2_squared": value.finite_n_value})
-    limit = incompleteness_limit(args.theta, args.theta_prime, max(args.n_list)).limit_value
+    values = [incompleteness_limit(args.theta, args.theta_prime, n) for n in args.n_list]
+    rows = [{"n": n, "aw2_squared": v.finite_n_value} for n, v in zip(args.n_list, values)]
     cauchy = []
     for label, theta in (("theta", args.theta), ("theta_prime", args.theta_prime)):
         for n, m in itertools.combinations(sorted(args.n_list), 2):
@@ -306,7 +293,7 @@ def cmd_demo_incompleteness(args) -> tuple[dict, int]:
         "theta": args.theta,
         "theta_prime": args.theta_prime,
         "rows": rows,
-        "limit": limit,
+        "limit": values[0].limit_value,  # depends on the angles only
         "cauchy": cauchy,
     }
     return doc, 0
@@ -388,7 +375,12 @@ def _human_scalar(value):
 
 def emit(doc: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(doc, indent=2)
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError as exc:
+            # finite inputs can still overflow a result; JSON has no inf or NaN
+            source = f" {args.problem}" if getattr(args, "problem", None) else ""
+            raise NonFiniteValue(f"{args.command}{source}: a result is not finite ({exc})") from exc
     else:
         text = "\n".join(_human_lines(doc))
     if args.output is not None and args.command != "figure":
@@ -401,13 +393,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, code = _HANDLERS[args.command](args)
+        emit(doc, args)  # renders the whole document first: a refused one writes nothing
     except ProblemFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except AwGaussError as exc:
         print(f"invariant violation ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
-    emit(doc, args)
     return code
 
 

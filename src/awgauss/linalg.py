@@ -142,8 +142,14 @@ def _factor(S: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(
             _stack_index(_first_unfactorable(S)) + f"Cholesky factorization failed: {exc}"
         ) from exc
-    pivots = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    min_pivot = np.min(pivots, axis=-1)
+    _check_pivots(L, max_diag)
+    return L  # numpy writes exact +0.0 above the diagonal
+
+
+def _check_pivots(L: np.ndarray, max_diag) -> None:
+    """The pivot gate of every law: each pivot ``L_tt^2`` of a factor stack must
+    exceed ``PD_TOL * max_diag``, the largest diagonal entry of its ``L L^T``."""
+    min_pivot = np.min(np.diagonal(L, axis1=-2, axis2=-1) ** 2, axis=-1)
     _raise_first(
         min_pivot <= PD_TOL * max_diag, NotPositiveDefinite,
         lambda idx: (
@@ -151,7 +157,6 @@ def _factor(S: np.ndarray) -> np.ndarray:
             f"{PD_TOL:.0e} * max diag = {PD_TOL * max_diag[idx]:.3e}"
         ),
     )
-    return L  # numpy writes exact +0.0 above the diagonal
 
 
 def _degenerate(min_eig: float, cov: np.ndarray) -> bool:
@@ -227,11 +232,13 @@ class GaussianSpec:
     def from_cholesky(cls, mean, factor) -> "GaussianSpec":
         """Build the law N(mean, L L^T) from a lower-triangular factor ``L``.
 
-        The factor is validated and cached, so no refactorization noise is
-        introduced downstream.
+        The factor is validated, held to the pivot gate of :func:`cholesky`
+        (so the law's echoed covariance parses back) and cached, so no
+        refactorization noise is introduced downstream.
         """
         L = as_cholesky_factor(factor)
         spec = cls(mean, L @ L.T)
+        _check_pivots(L, np.max(np.diagonal(spec.cov)))
         L = np.tril(L)
         L.setflags(write=False)
         spec.__dict__["chol"] = L

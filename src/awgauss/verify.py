@@ -14,8 +14,12 @@ import numpy as np
 
 from .couplings import _coupling_cost, _sign_selection, aw_map, brenier_map, coupling_cost, kr_map
 from .distances import _abw_sq, aw2, kr2, wasserstein2
-from .errors import BadParameter
+from .errors import BadParameter, NonFiniteValue
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
+
+#: float floor of every comparison, relative to the pair's S = |a|^2 + |b|^2 + Tr A + Tr B:
+#: each value compared is a coupling cost E|X - Y|^2 <= 2S, rounded relative to S
+REL_TOL = 1e-13
 
 FAST = "fast"
 FULL = "full"
@@ -42,17 +46,23 @@ def _result(name, pair, observed, bound, note="") -> CheckResult:
     )
 
 
-def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rng, oracles=None):
+def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=None):
     """Checks of one pair; with ``oracles=(grid_m, mc_samples)`` also the oracle checks,
     which read the closed-form values computed here."""
+    with np.errstate(over="ignore"):
+        S = float(mu.mean @ mu.mean + nu.mean @ nu.mean + np.trace(mu.cov) + np.trace(nu.cov))
+    if not math.isfinite(S):
+        # an infinite floor would pass every check
+        raise NonFiniteValue(f"pair {pair}: second moment |a|^2 + |b|^2 + Tr A + Tr B overflows")
+    tol = REL_TOL * S
     results = []
     w2 = wasserstein2(mu, nu)
     k2 = kr2(mu, nu)
     a2 = aw2(mu, nu)
-    tol = 1e-9 * scale
 
-    results.append(_result("ordering_w2_le_aw2", pair, w2.value - a2.value, tol))
-    results.append(_result("ordering_aw2_le_kr2", pair, a2.value - k2.value, tol))
+    # squared, so coincident laws compare W2's float noise with S, not its square root
+    results.append(_result("ordering_w2_le_aw2", pair, w2.squared_value - a2.squared_value, tol))
+    results.append(_result("ordering_aw2_le_kr2", pair, a2.squared_value - k2.squared_value, tol))
 
     # adapted vs synchronous covariance identity through the factor diagonal
     L, M = mu.chol, nu.chol
@@ -67,7 +77,8 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
     trace_form = float(np.trace(mu.cov) + np.trace(nu.cov) - 2.0 * np.trace(L.T @ M))
     results.append(_result("kr_trace_identity", pair, abs(kr_sq - trace_form), tol))
 
-    results.append(_result("abw_symmetry", pair, abs(abw - math.sqrt(_abw_sq(M, L))), tol))
+    sym = abs(abw - math.sqrt(_abw_sq(M, L)))
+    results.append(_result("abw_symmetry", pair, sym, REL_TOL * math.sqrt(S)))  # distance units
 
     ones = np.ones(mu.dim)
     sign_cost, sync_cost = coupling_cost(mu, nu, sign.rho), coupling_cost(mu, nu, ones)
@@ -78,7 +89,6 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
     worst = np.max(a2.squared_value - costs, initial=0.0)
     results.append(_result("random_rho_never_beats_sign_rule", pair, worst, tol))
 
-    push_tol = 1e-8 * scale
     for name, T in (
         ("brenier_pushforward", brenier_map(mu, nu)),
         ("kr_pushforward", kr_map(mu, nu)),
@@ -86,8 +96,9 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
     ):
         img = T.push(mu)
         err = np.linalg.norm(img.cov - nu.cov) / max(np.linalg.norm(nu.cov), 1e-300)
-        err = max(err, float(np.linalg.norm(img.mean - nu.mean)))
-        results.append(_result(name, pair, err, push_tol))
+        # the mean is held 100x tighter, in the distance unit sqrt(S)
+        err = max(err, 100.0 * float(np.linalg.norm(img.mean - nu.mean)) / math.sqrt(S))
+        results.append(_result(name, pair, err, 1e-8))
 
     # block identity behind time consistency of the optimal coupling
     worst = 0.0
@@ -95,9 +106,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
         tail = np.sum(L[t:, t:] * M[t:, t:], axis=0)
         worst = max(worst, float(np.max(np.abs(diag[t:] - tail))))
     if mu.dim > 1:
-        results.append(
-            _result("conditional_block_identity", pair, worst, 1e-12 * scale * max(1.0, float(np.max(np.abs(diag)))))
-        )
+        results.append(_result("conditional_block_identity", pair, worst, REL_TOL * float(np.max(np.abs(diag)))))
     if oracles is None:
         return results
 
@@ -112,7 +121,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
                 "oracle_dpp_agreement",
                 pair,
                 abs(discrete - a2.squared_value),
-                0.05 * (1.0 + a2.squared_value) * scale,
+                0.05 * a2.squared_value + tol,
                 note=f"m={grid_m}",
             )
         )
@@ -125,26 +134,25 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, scale: float, rn
         ("monte_carlo_random_rho", random_rho, coupling_cost(mu, nu, random_rho)),
     ):
         mc = monte_carlo_cost(mu, nu, rho, mc_samples, int(rng.integers(2**32)))
-        bound = 4.0 * mc.standard_error * scale
-        results.append(_result(name, pair, abs(mc.estimate - cost), max(bound, 1e-12)))
+        results.append(_result(name, pair, abs(mc.estimate - cost), max(4.0 * mc.standard_error, tol)))
 
     worst = 0.0
     for t in range(mu.dim):
         x = rng.standard_normal(t)
         y = rng.standard_normal(t)
         rep = dpp_recursion_check(mu, nu, t, x, y)
-        worst = max(worst, rep.abs_error / (1.0 + rep.value))
-    results.append(_result("value_function_recursion", pair, worst, 1e-8 * scale))
+        worst = max(worst, rep.abs_error / (rep.value + S))
+    results.append(_result("value_function_recursion", pair, worst, REL_TOL))
     return results
 
 
-def _global_checks(dim: int, scale: float, rng, triples: int = 200):
+def _global_checks(dim: int, rng, triples: int = 200):
     # one draw of every triple's A, B, C (the generator advances as by
     # 3 * triples single draws) and one stacked, per-matrix-gated factorization
     LA, LB, LC = np.moveaxis(cholesky(random_spd(dim, rng, (triples, 3))), 1, 0)
     ac, ab, bc = (np.sqrt(_abw_sq(L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
     worst = np.max(ac - ab - bc, initial=0.0)
-    return [_result("abw_triangle_inequality", -1, worst, 1e-9 * scale)]
+    return [_result("abw_triangle_inequality", -1, worst, 1e-9)]
 
 
 def run_verification(
@@ -152,7 +160,6 @@ def run_verification(
     *,
     level: str = FAST,
     seed: int = 0,
-    tolerance_scale: float = 1.0,
     grid_m: int = 100,
     mc_samples: int = 100_000,
 ) -> list[CheckResult]:
@@ -163,9 +170,9 @@ def run_verification(
     results: list[CheckResult] = []
     oracles = (grid_m, mc_samples) if level == FULL else None
     for idx, (mu, nu) in enumerate(pairs):
-        results.extend(_pair_checks(mu, nu, idx, tolerance_scale, rng, oracles))
+        results.extend(_pair_checks(mu, nu, idx, rng, oracles))
     if pairs:
-        results.extend(_global_checks(pairs[0][0].dim, tolerance_scale, rng))
+        results.extend(_global_checks(pairs[0][0].dim, rng))
     return results
 
 

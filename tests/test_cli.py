@@ -261,14 +261,14 @@ class TestVerify:
         assert captured.out == ""
         assert "--dim needs at least 1 time step" in captured.err
 
-    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0", "-1"])
-    def test_tolerance_scale_outside_the_positive_reals_is_parse_error(self, tmp_path, capsys, scale):
-        # inf would widen every bound to inf and pass every check vacuously
-        for source in (["--random", "2"], [_write(tmp_path, REFLECTED)]):
-            assert main(["verify", *source, f"--tolerance-scale={scale}"]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "--tolerance-scale needs a finite value > 0" in captured.err
+    def test_tolerance_scale_is_unrecognized(self, capsys):
+        # bounds come from each pair's own second moments; no flag widens them
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", "2", "--tolerance-scale", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tolerance-scale" in captured.err
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -380,6 +380,24 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"parse error: {path}: ")
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflowing_result_is_invariant_violation(self, tmp_path, to_file):
+        # finite inputs whose distances overflow: JSON has no Infinity; a
+        # subprocess, since the overflow warns and the suite makes warnings errors
+        doc = {"mu": {"mean": [1e200, 0.0], "cov": np.eye(2).tolist()}, "nu": REFLECTED["nu"]}
+        out = tmp_path / "out.json"
+        argv = ["--output", str(out)] if to_file else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "awgauss.cli", *argv, "dist", _write(tmp_path, doc)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert not out.exists()
+        assert "invariant violation (NonFiniteValue): dist " in proc.stderr
+        assert "problem.json: a result is not finite" in proc.stderr
+
     def test_missing_field_is_parse_error(self, tmp_path, capsys):
         path = _write(tmp_path, {"mu": {"mean": [0.0], "cov": [[1.0]]}})
         assert main(["dist", path]) == 2
@@ -421,6 +439,12 @@ class TestDemoIncompleteness:
         )
         assert code == 0
         assert all(row["aw2_squared"] <= 1e-12 for row in doc["rows"])
+
+    def test_member_below_the_pivot_gate_is_invariant_violation(self, capsys):
+        # at n = 1e7 the factor's first pivot 1e-14 is below 1e-12 * max diag
+        code = main(["demo-incompleteness", "--theta", "1", "--theta-prime", "0.5", "--n-list", "10000000"])
+        assert code == 3
+        assert "NotPositiveDefinite" in capsys.readouterr().err
 
     def test_angle_validation(self, capsys):
         code = main(["demo-incompleteness", "--theta", "0", "--theta-prime", "1"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from awgauss import (
     NonFiniteValue,
     NotPositiveDefinite,
     NotSymmetric,
+    aw2,
     cholesky,
     conditional,
     random_spd,
@@ -15,6 +18,7 @@ from awgauss import (
 )
 from awgauss import linalg
 from awgauss.linalg import as_cholesky_factor
+from awgauss.problems import parse_problem, problem_echo
 
 
 class TestCholesky:
@@ -211,6 +215,27 @@ class TestGaussianSpec:
         np.testing.assert_array_equal(spec.chol, L)
         np.testing.assert_allclose(spec.cov, [[1.0, 2.0], [2.0, 5.0]])
 
+    @pytest.mark.parametrize("corner", [1e-7, 1e-6, 1.2e-6, 1e-5, 1e-3])
+    def test_from_cholesky_law_parses_back_from_its_echo(self, corner):
+        # one pivot gate for every law: a factor the gate accepts gives a
+        # covariance document that parses back as a law aw2 accepts
+        L = np.array([[corner, 0.0], [0.5, 1.0]])
+        try:
+            spec = GaussianSpec.from_cholesky(np.zeros(2), L)
+        except NotPositiveDefinite:
+            assert corner**2 <= 1e-12 * 1.25
+            return
+        echoed = parse_problem(json.loads(json.dumps(problem_echo(spec, spec))))
+        assert aw2(echoed.mu, echoed.nu).value == 0.0
+        np.testing.assert_allclose(echoed.mu.chol, L, rtol=1e-9)
+
+    def test_from_cholesky_pivot_gate_message(self):
+        with pytest.raises(NotPositiveDefinite) as info:
+            GaussianSpec.from_cholesky([0, 0], [[1e-7, 0], [0.5, 1]])
+        assert str(info.value) == (
+            "smallest Cholesky pivot 1.000e-14 is at or below 1e-12 * max diag = 1.250e-12"
+        )
+
     def test_values_are_immutable(self):
         spec = GaussianSpec(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
@@ -265,6 +290,16 @@ class TestConditional:
         c1 = conditional(mu, 2, [0.0, 0.0])
         c2 = conditional(mu, 2, [10.0, -3.0])
         np.testing.assert_array_equal(c1.cov, c2.cov)
+
+    def test_law_at_the_pivot_gate_conditions_at_every_split(self):
+        # a trailing block's smallest pivot is at least the full factor's and
+        # its largest diagonal at most the full one, so it passes the same gate
+        d = np.sqrt(1.01e-12 * 1.25)
+        L = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.3, 0.2, d]])
+        mu = GaussianSpec.from_cholesky(np.zeros(3), L)
+        for t in (1, 2):
+            cond = conditional(mu, t, np.ones(t))
+            np.testing.assert_array_equal(cond.chol, L[t:, t:])
 
     def test_split_bounds(self):
         mu = GaussianSpec(np.zeros(3), np.eye(3))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from awgauss import (
-    AwGaussError, BadParameter, TooLarge, abw_distance, couplings, distances, dpp_solve_discrete, kr_distance, random_gaussian, verify,
+    AwGaussError, BadParameter, GaussianSpec, NonFiniteValue, TooLarge, abw_distance, couplings, distances,
+    dpp_solve_discrete, kr_distance, random_gaussian, verify,
 )
 from awgauss.oracle import _discrete_size_error
 from awgauss.verify import _global_checks, _pair_checks, random_pairs, run_verification
@@ -24,7 +27,7 @@ def factored(monkeypatch):
 
 @pytest.mark.parametrize("dim, triples", [(2, 5), (3, 7)])
 def test_global_checks_factor_each_matrix_once(factored, dim, triples):
-    (result,) = _global_checks(dim, 1.0, np.random.default_rng(0), triples=triples)
+    (result,) = _global_checks(dim, np.random.default_rng(0), triples=triples)
     assert result.name == "abw_triangle_inequality" and result.passed
     assert sum(factored) == 3 * triples
 
@@ -46,7 +49,7 @@ def test_pair_checks_read_cached_factors(factored, dim):
     }
 
     factored.clear()  # the reference values above factor the covariances
-    results = _pair_checks(mu, nu, 0, 1.0, np.random.default_rng(0))
+    results = _pair_checks(mu, nu, 0, np.random.default_rng(0))
     assert sum(factored) == 0
     observed = {r.name: r.observed for r in results if r.name in expected}
     assert observed == expected
@@ -71,7 +74,7 @@ def test_pair_checks_reuse_what_they_computed(monkeypatch, dim):
     count(couplings, "_sign_rule")
     rng = np.random.default_rng(40 + dim)
     mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
-    results = _pair_checks(mu, nu, 0, 1.0, np.random.default_rng(5))
+    results = _pair_checks(mu, nu, 0, np.random.default_rng(5))
     assert all(r.passed for r in results)
     # the two fixed correlations; the 32 random ones are one stacked evaluation
     assert calls == {"coupling_cost": 2, "_sign_rule": 4}
@@ -108,7 +111,7 @@ def test_random_rho_draw_is_the_stream_of_single_draws(dim):
     rng = np.random.default_rng(70 + dim)
     mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
     drawn = np.random.default_rng(5)
-    _pair_checks(mu, nu, 0, 1.0, drawn)
+    _pair_checks(mu, nu, 0, drawn)
     reference = np.random.default_rng(5)
     singles = [reference.uniform(-1.0, 1.0, dim) for _ in range(32)]
     assert drawn.bit_generator.state == reference.bit_generator.state
@@ -126,7 +129,7 @@ def test_discrete_oracle_runs_exactly_when_the_solver_accepts_the_size(dim, grid
         accepted = False
         assert str(exc) == _discrete_size_error(dim, grid_m)
     assert accepted == (_discrete_size_error(dim, grid_m) is None)
-    results = _pair_checks(mu, nu, 0, 1.0, np.random.default_rng(0), (grid_m, 1000))
+    results = _pair_checks(mu, nu, 0, np.random.default_rng(0), (grid_m, 1000))
     assert [r.name for r in results].count("oracle_dpp_agreement") == int(accepted)
 
 
@@ -147,3 +150,53 @@ def test_unknown_level_is_a_domain_error():
         run_verification(random_pairs(1, 0), level="bogus")
     assert isinstance(info.value, AwGaussError)
     assert str(info.value) == "unknown verification level 'bogus'; expected one of ('fast', 'full')"
+
+
+def _scaled(pairs, mean_factor, cov_factor):
+    return [tuple(GaussianSpec(law.mean * mean_factor, law.cov * cov_factor) for law in pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+@pytest.mark.parametrize(
+    "mean_factor, cov_factor",
+    [(1e9, 1.0), (1.0, 1e8), (1e-6, 1e-12), (1e-8, 1e-16)],
+    ids=["means-1e9", "covs-1e8", "covs-1e-12", "covs-1e-16"],
+)
+def test_correct_results_pass_at_every_magnitude(level, mean_factor, cov_factor):
+    # every bound is relative to the pair's own S = |a|^2 + |b|^2 + Tr A + Tr B
+    pairs = _scaled(random_pairs(3, 5, dim=3), mean_factor, cov_factor)
+    results = run_verification(pairs, level=level, seed=2)
+    assert [r.name for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("cov_factor", [1.0, 1e-12, 1e-16])
+def test_corrupted_aw2_is_caught_at_every_magnitude(monkeypatch, cov_factor):
+    exact = verify.aw2
+
+    def corrupted(mu, nu):
+        value = exact(mu, nu)
+        return distances._report(value.mean_term, 0.99 * value.cov_term)
+
+    monkeypatch.setattr(verify, "aw2", corrupted)
+    pairs = _scaled(random_pairs(3, 5, dim=3), math.sqrt(cov_factor), cov_factor)
+    failed = {(r.pair, r.name) for r in run_verification(pairs) if not r.passed}
+    for pair in range(3):
+        assert {(pair, "factor_diagonal_identity"), (pair, "sign_rule_attains_aw2")} <= failed
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_identical_laws_pass(dim):
+    # W2's trace form leaves float noise of order sqrt(eps) in the distance
+    # at coincident laws, where aw2 is exactly 0; the squares are compared
+    for seed in range(20):
+        mu = random_pairs(1, seed, dim=dim)[0][0]
+        results = run_verification([(mu, mu)], seed=seed)
+        assert [r.name for r in results if not r.passed] == [], seed
+
+
+def test_overflowing_second_moment_is_refused():
+    # an infinite S would make every bound infinite
+    mu, nu = random_pairs(1, 0)[0]
+    with pytest.raises(NonFiniteValue) as info:
+        run_verification([(mu, GaussianSpec(nu.mean * 1e200, nu.cov))])
+    assert str(info.value) == "pair 0: second moment |a|^2 + |b|^2 + Tr A + Tr B overflows"
