@@ -17,7 +17,8 @@ import numpy as np
 from .distances import _sign_rule, as_weights
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
-    GaussianSpec, _rdiv, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional,
+    GaussianSpec, _rdiv, _strict_upper, as_cholesky_factor, as_vector, check_same_dim,
+    check_split, conditional,
 )
 
 BRENIER = "brenier"
@@ -28,7 +29,7 @@ ADAPTED_WASSERSTEIN = "adapted_wasserstein"
 def as_correlations(rho, *, dim: int | None = None) -> np.ndarray:
     """Validate a per-time correlation vector with entries in [-1, 1]."""
     r = as_vector(rho, dim=dim, name="rho")
-    if np.any(np.abs(r) > 1.0):
+    if (np.abs(r) > 1.0).any():
         raise BadCorrelation("correlations must lie in [-1, 1]")
     return r
 
@@ -81,7 +82,7 @@ def optimal_sign(L, M, *, weights=None) -> SignSelection:
 def _sign_selection(L: np.ndarray, M: np.ndarray) -> SignSelection:
     """:class:`SignSelection` of two factors already known to be valid."""
     d, rho, free = _sign_rule(L, M)
-    free_indices = tuple(int(i) + 1 for i in np.flatnonzero(free))
+    free_indices = tuple(int(i) + 1 for i in np.flatnonzero(free)) if free.any() else ()
     return SignSelection(
         rho=rho, free_indices=free_indices, unique=not free_indices, diag=d
     )
@@ -155,9 +156,9 @@ def coupling_cost(mu: GaussianSpec, nu: GaussianSpec, rho) -> float:
 
 def _coupling_cost(mu: GaussianSpec, nu: GaussianSpec, R: np.ndarray):
     """:func:`coupling_cost` of each row of a validated ``(..., N)`` correlation stack."""
-    d = np.sum(mu.chol * nu.chol, axis=0)
+    d = (mu.chol * nu.chol).sum(axis=0)
     diff = mu.mean - nu.mean
-    return diff @ diff + np.trace(mu.cov) + np.trace(nu.cov) - 2.0 * (R @ d)
+    return diff @ diff + mu.cov.trace() + nu.cov.trace() - 2.0 * (R @ d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +194,21 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     whole input path, which is exactly what the bicausal constraint forbids.
     """
     check_same_dim(mu, nu)
-    L, M = mu.chol, nu.chol
-    U, _, Vt = np.linalg.svd(L.T @ M)
-    T = _rdiv(M @ (Vt.T @ U.T), L)
+    L = mu.chol
+    T = _rdiv(_brenier_product(L, nu.chol), L)
     return _affine(mu, nu, (T + T.T) / 2.0, BRENIER)
+
+
+def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``M Q`` with ``Q = V U^T`` from the SVD ``L^T M = U S V^T``."""
+    U, _, Vt = np.linalg.svd(L.T @ M)
+    return M @ (Vt.T @ U.T)
+
+
+def _lower(X: np.ndarray) -> np.ndarray:
+    """``np.tril(X)`` through the cached mask: a new C-ordered array, which the
+    products of a map (offset, pushforward) read in that order."""
+    return np.where(_strict_upper(X.shape[0]), 0.0, X)
 
 
 def kr_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
@@ -207,7 +219,7 @@ def kr_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     """
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
-    T = np.tril(_rdiv(M, L))
+    T = _lower(_rdiv(M, L))
     return _affine(mu, nu, T, KNOTHE_ROSENBLATT)
 
 
@@ -240,7 +252,7 @@ def aw_map(mu: GaussianSpec, nu: GaussianSpec) -> AdaptedMapResult:
     check_same_dim(mu, nu)
     L, M = mu.chol, nu.chol
     sign = _sign_selection(L, M)
-    T = np.tril(_rdiv(M * sign.rho[None, :], L))
+    T = _lower(_rdiv(M * sign.rho[None, :], L))
     return AdaptedMapResult(map=_affine(mu, nu, T, ADAPTED_WASSERSTEIN), sign=sign)
 
 

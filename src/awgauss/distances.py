@@ -110,12 +110,13 @@ def _sign_rule(L: np.ndarray, M: np.ndarray):
     and ``d``, ``rho``, ``free`` are ``(..., N)``, one row per pair.
     ``rho_t = sign(d_t)``, except that ``|d_t| <= FREE_TOL * ||L||_F ||M||_F``
     (the norms of that pair's own factors) is a free index (the cost does not
-    depend on ``rho_t``) and takes +1.
+    depend on ``rho_t``) and takes +1; so ``rho_t = -1`` exactly when ``d_t``
+    is below the band.
     """
-    d = np.sum(L * M, axis=-2)
-    band = FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
-    free = np.abs(d) <= band[..., None]
-    rho = np.where(free | (d > 0.0), 1.0, -1.0)
+    d = (L * M).sum(axis=-2)
+    band = (FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M)))[..., None]
+    free = np.abs(d) <= band
+    rho = np.where(d < -band, -1.0, 1.0)
     return d, rho, free
 
 
@@ -215,7 +216,7 @@ def aw2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
 def as_weights(w, *, dim: int | None = None) -> np.ndarray:
     """Validate a strictly positive per-time weight vector."""
     v = as_vector(w, dim=dim, name="weights")
-    if np.any(v <= 0.0):
+    if (v <= 0.0).any():
         raise NonPositiveWeight("all cost weights must be strictly positive")
     return v
 

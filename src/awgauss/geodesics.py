@@ -3,9 +3,12 @@
 All three curves share the displacement form: means interpolate linearly and
 ``cov_t = T_t A0 T_t^T`` with ``T_t = (1 - t) I + t T``, where ``T`` is the
 linear part of the matching transport map (unconstrained, synchronous, or
-adapted).  Intermediate covariances may degenerate when the adapted map
-reflects a coordinate; such points are representable (flagged, PSD) but are
-excluded from distance checks.
+adapted).  Each map is ``T = M Q L^{-1}`` on the Cholesky factors ``L`` of
+``A0`` and ``M`` of ``A1``, so ``T_t L = F_t = (1 - t) L + t M Q`` and
+``cov_t = F_t F_t^T`` needs no inverse; the endpoints are the two laws'
+covariances themselves.  Intermediate covariances may degenerate when the
+adapted map reflects a coordinate; such points are representable (flagged,
+PSD) but are excluded from distance checks.
 """
 
 from __future__ import annotations
@@ -22,21 +25,25 @@ WASSERSTEIN = "wasserstein"
 KNOTHE_ROSENBLATT = "knothe_rosenblatt"
 ADAPTED = "adapted"
 
-#: kind -> (transport map whose linear part drives the curve, distance the
-#: curve has constant speed in).  The entries call through the module
-#: attributes, so a function rebound there (a test double, a tracer) is used.
+#: kind -> (transport map whose linear part drives the curve, its factor
+#: product M Q from the factors (L, M), distance the curve has constant speed
+#: in).  The entries call through the module attributes, so a function rebound
+#: there (a test double, a tracer) is used.
 _GEOMETRIES = {
     WASSERSTEIN: (
         lambda mu, nu: couplings.brenier_map(mu, nu),
+        lambda L, M: couplings._brenier_product(L, M),  # Q = V U^T
         lambda mu, nu: distances.wasserstein2(mu, nu),
     ),
     KNOTHE_ROSENBLATT: (
         lambda mu, nu: couplings.kr_map(mu, nu),
+        lambda L, M: M,  # Q = I
         lambda mu, nu: distances.kr2(mu, nu),
     ),
     ADAPTED: (
         # canonical +1 tie-break on free indices; curve not unique there
         lambda mu, nu: couplings.aw_map(mu, nu).map,
+        lambda L, M: M * distances._sign_rule(L, M)[1],  # Q = diag(rho)
         lambda mu, nu: distances.aw2(mu, nu),
     ),
 }
@@ -70,17 +77,22 @@ def _geometry(kind: str):
 
 def transport_for_kind(mu0: GaussianSpec, mu1: GaussianSpec, kind: str):
     """Transport map whose linear part drives the interpolation of ``kind``."""
-    transport, _ = _geometry(kind)
+    transport, _, _ = _geometry(kind)
     return transport(mu0, mu1)
 
 
 def geodesic_point(
     mu0: GaussianSpec, mu1: GaussianSpec, t: float, kind: str
 ) -> GeodesicPoint:
-    """Point of the ``kind`` interpolation curve at parameter ``t`` in [0, 1]."""
+    """Point of the ``kind`` interpolation curve at parameter ``t`` in [0, 1].
+
+    At ``t = 0`` and ``t = 1`` the point's covariance is the law's own
+    (read-only) ``cov``.
+    """
     check_same_dim(mu0, mu1)
     t = _unit_parameter(t)
-    return _curve_point(mu0, mu1, transport_for_kind(mu0, mu1, kind).matrix, t)
+    _, product, _ = _geometry(kind)
+    return _curve_point(mu0, mu1, product(mu0.chol, mu1.chol), t)
 
 
 def _unit_parameter(t) -> float:
@@ -90,11 +102,14 @@ def _unit_parameter(t) -> float:
     return t
 
 
-def _curve_point(mu0: GaussianSpec, mu1: GaussianSpec, T: np.ndarray, t: float) -> GeodesicPoint:
-    """Point at ``t`` of the curve driven by the transport matrix ``T``."""
-    Tt = (1.0 - t) * np.eye(mu0.dim) + t * T
-    cov = Tt @ mu0.cov @ Tt.T
-    cov = (cov + cov.T) / 2.0
+def _curve_point(mu0: GaussianSpec, mu1: GaussianSpec, MQ: np.ndarray, t: float) -> GeodesicPoint:
+    """Point at ``t`` of the curve whose map has the factor product ``MQ = T L``."""
+    if t == 0.0 or t == 1.0:
+        cov = (mu0 if t == 0.0 else mu1).cov
+    else:
+        F = (1.0 - t) * mu0.chol + t * MQ
+        cov = F @ F.T
+        cov = (cov + cov.T) / 2.0
     mean = (1.0 - t) * mu0.mean + t * mu1.mean
     min_eig = float(np.linalg.eigvalsh(cov)[0])
     return GeodesicPoint(
@@ -129,11 +144,11 @@ def geodesic_check(
 ) -> GeodesicCheckReport:
     """Compare the distance between two curve points with the scaled endpoint
     distance under the metric matching ``kind``."""
-    transport, distance = _geometry(kind)
+    _, product, distance = _geometry(kind)
     check_same_dim(mu0, mu1)
     s, t = _unit_parameter(s), _unit_parameter(t)
-    T = transport(mu0, mu1).matrix  # one map for both points
-    ps, pt = _curve_point(mu0, mu1, T, s), _curve_point(mu0, mu1, T, t)
+    MQ = product(mu0.chol, mu1.chol)  # one map for both points
+    ps, pt = _curve_point(mu0, mu1, MQ, s), _curve_point(mu0, mu1, MQ, t)
     if ps.degenerate or pt.degenerate:
         return GeodesicCheckReport(
             status=SKIPPED,

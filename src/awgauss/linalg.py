@@ -33,7 +33,7 @@ def as_vector(x, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteValue(f"{name} contains non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {dim}")
@@ -161,7 +161,7 @@ def _check_pivots(L: np.ndarray, max_diag) -> None:
 
 def _degenerate(min_eig: float, cov: np.ndarray) -> bool:
     """Degeneracy of a PSD ``cov`` with least eigenvalue ``min_eig``, on the pivot gate's scale."""
-    return bool(min_eig <= PD_TOL * max(float(np.max(np.diag(cov))), np.finfo(float).tiny))
+    return bool(min_eig <= PD_TOL * max(float(cov.diagonal().max()), np.finfo(float).tiny))
 
 
 @lru_cache(maxsize=64)

@@ -343,6 +343,22 @@ class TestKrMap:
                 np.testing.assert_allclose(img.mean, nu.mean, atol=1e-9)
 
 
+class TestTriangularMaps:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_masked_maps_are_bitwise_tril(self, dim):
+        # the cached strict-upper mask zeroes what np.tril zeroes, in a C-ordered array
+        mu, nu = _random_pair(dim, 30 + dim)
+        L, M = mu.chol, nu.chol
+        result = aw_map(mu, nu)
+        for T, MQ in (
+            (kr_map(mu, nu).matrix, M),
+            (result.map.matrix, M * result.sign.rho[None, :]),
+        ):
+            expected = np.tril(np.linalg.solve(L.T, MQ.T).T)
+            assert T.flags.c_contiguous
+            assert T.tobytes() == expected.tobytes()
+
+
 class TestAwMap:
     def test_reflected_pair(self, reflected_pair):
         mu, nu = reflected_pair

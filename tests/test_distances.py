@@ -28,7 +28,8 @@ from awgauss import (
     wasserstein2,
     weighted_bicausal_value,
 )
-from awgauss.distances import _abw_sq, _sign_rule, clamp_sq
+from awgauss import distances
+from awgauss.distances import _abw_sq, _frobenius_sq, _sign_rule, clamp_sq
 
 
 def _random_pair(dim, seed):
@@ -267,6 +268,62 @@ class TestStackedSignRule:
             assert values[k] == _abw_sq(L[k], M[k])
         if dim == 2:
             assert free[3].tolist() == [True, False] and values[3] == 4.0
+
+
+def _old_sign_rule_rho(L, M):
+    """The sign rule written as ``free | d > 0``, on the band of :func:`_sign_rule`."""
+    d = np.sum(L * M, axis=-2)
+    band = distances.FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
+    free = np.abs(d) <= band[..., None]
+    return np.where(free | (d > 0.0), 1.0, -1.0)
+
+
+def _free_tol_putting_band_at(L, M, target):
+    """A ``FREE_TOL`` whose band ``FREE_TOL * ||L||_F ||M||_F`` is exactly ``target``."""
+    norms = np.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
+    tol = target / norms
+    for _ in range(8):
+        if tol * norms == target:
+            return tol
+        tol = np.nextafter(tol, np.inf if tol * norms < target else -np.inf)
+    pytest.skip("no float FREE_TOL puts the band exactly on d_t")
+
+
+class TestLeanSignRule:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_stacks_and_broadcast_pairs(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        L, M = (cholesky(random_spd(dim, rng, (2, 5))) for _ in range(2))
+        if dim == 2:
+            L[1, 2] = [[1.0, 0.0], [1.0, 1.0]]  # exact tie, d_1 = 0
+            M[1, 2] = [[1.0, 0.0], [-1.0, 1.0]]
+        for left, right in ((L, M), (L[0, 0], M), (L, M[1, 3]), (L[0, 1], M[0, 1])):
+            _, rho, free = _sign_rule(left, right)
+            old = _old_sign_rule_rho(left, right)
+            assert rho.shape == old.shape
+            assert rho.tobytes() == old.tobytes()
+        if dim == 2:
+            assert _sign_rule(L, M)[2][1, 2].tolist() == [True, False]
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_d_exactly_on_the_band(self, monkeypatch, side):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            L, M = cholesky(random_spd(3, rng, (2,)))
+            d = np.sum(L * M, axis=0)
+            t = int(np.argmin(np.abs(d[:-1]) if side > 0 else d[:-1]))
+            if np.sign(d[t]) == side:
+                break
+        monkeypatch.setattr(distances, "FREE_TOL", _free_tol_putting_band_at(L, M, abs(d[t])))
+        _, rho, free = _sign_rule(L, M)
+        assert free[t] and rho[t] == 1.0  # the band is closed: |d_t| == band is free
+        assert rho.tobytes() == _old_sign_rule_rho(L, M).tobytes()
+        # one ulp outside the band, d_t decides
+        monkeypatch.setattr(distances, "FREE_TOL", np.nextafter(distances.FREE_TOL, 0.0))
+        _, rho, free = _sign_rule(L, M)
+        if abs(d[t]) > distances.FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M)):
+            assert not free[t] and rho[t] == side
+        assert rho.tobytes() == _old_sign_rule_rho(L, M).tobytes()
 
 
 class TestSpecLevelMatchesMatrixLevel:

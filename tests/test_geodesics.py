@@ -9,13 +9,22 @@ from awgauss import (
     geodesic_point,
     random_gaussian,
 )
-from awgauss import couplings, distances
-from awgauss.geodesics import ADAPTED, GEODESIC_KINDS, KNOTHE_ROSENBLATT, WASSERSTEIN
+from awgauss import distances
+from awgauss.geodesics import (
+    ADAPTED, GEODESIC_KINDS, KNOTHE_ROSENBLATT, WASSERSTEIN, transport_for_kind,
+)
 
 
 def _random_pair(dim, seed):
     rng = np.random.default_rng(seed)
     return random_gaussian(dim, rng), random_gaussian(dim, rng)
+
+
+def _map_formula_cov(mu, nu, t, kind):
+    """``T_t A0 T_t^T`` with ``T_t = (1 - t) I + t T`` from the printed map ``T``."""
+    Tt = (1.0 - t) * np.eye(mu.dim) + t * transport_for_kind(mu, nu, kind).matrix
+    cov = Tt @ mu.cov @ Tt.T
+    return (cov + cov.T) / 2.0
 
 
 def _positive_diag_pair(dim, seed):
@@ -37,7 +46,34 @@ class TestGeodesicPoint:
         assert not p0.degenerate
         p1 = geodesic_point(mu, nu, 1.0, kind)
         np.testing.assert_allclose(p1.mean, nu.mean, atol=1e-12)
-        np.testing.assert_allclose(p1.cov, nu.cov, atol=1e-9)
+        np.testing.assert_array_equal(p1.cov, nu.cov)
+        assert p0.cov is mu.cov and p1.cov is nu.cov
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("kind", GEODESIC_KINDS)
+    def test_factor_product_matches_map_formula(self, kind, dim):
+        # F_t F_t^T with F_t = (1 - t) L + t M Q equals T_t A0 T_t^T for T = M Q L^{-1}
+        mu, nu = _random_pair(dim, 40 + dim)
+        for t in (0.25, 0.5, 0.8):
+            expected = _map_formula_cov(mu, nu, t, kind)
+            got = geodesic_point(mu, nu, t, kind).cov
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            np.testing.assert_array_equal(got, got.T)
+
+    def test_curve_path_solves_nothing(self, monkeypatch):
+        calls = []
+        original = np.linalg.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        mu, nu = _random_pair(4, 12)
+        for kind in GEODESIC_KINDS:
+            geodesic_point(mu, nu, 0.3, kind)
+            geodesic_check(mu, nu, kind, 0.2, 0.7)
+        assert calls == []
 
     def test_reflected_pair_adapted_midpoint_degenerates(self, reflected_pair):
         # the adapted map is diag(-1, 1); halfway the first coordinate dies
@@ -120,18 +156,20 @@ class TestGeodesicCheck:
             assert rep.abs_difference <= 1e-8
 
     def test_builds_one_transport_map(self, monkeypatch):
+        # both points share one Q = V U^T, i.e. one SVD with singular vectors;
+        # the two wasserstein2 values take singular values only
         calls = []
-        original = couplings.brenier_map
+        original = np.linalg.svd
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("compute_uv", True))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(couplings, "brenier_map", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting)
         mu, nu = _random_pair(3, 7)
         rep = geodesic_check(mu, nu, WASSERSTEIN, 0.2, 0.7)
         assert rep.status == "ok"
-        assert len(calls) == 1
+        assert calls.count(True) == 1
 
     @pytest.mark.parametrize("kind", GEODESIC_KINDS)
     def test_report_equals_distance_between_curve_points(self, kind):
@@ -141,11 +179,12 @@ class TestGeodesicCheck:
             ADAPTED: distances.aw2,
         }[kind]
         mu, nu = _positive_diag_pair(3, 8)
-        rep = geodesic_check(mu, nu, kind, 0.2, 0.7)
-        ps, pt = geodesic_point(mu, nu, 0.2, kind), geodesic_point(mu, nu, 0.7, kind)
-        lhs = distance(GaussianSpec(ps.mean, ps.cov), GaussianSpec(pt.mean, pt.cov)).value
-        assert rep.point_distance == lhs
-        assert rep.scaled_endpoint_distance == abs(0.2 - 0.7) * distance(mu, nu).value
+        for s, t in ((0.2, 0.7), (0.0, 1.0)):
+            rep = geodesic_check(mu, nu, kind, s, t)
+            ps, pt = geodesic_point(mu, nu, s, kind), geodesic_point(mu, nu, t, kind)
+            lhs = distance(GaussianSpec(ps.mean, ps.cov), GaussianSpec(pt.mean, pt.cov)).value
+            assert rep.point_distance == lhs
+            assert rep.scaled_endpoint_distance == abs(s - t) * distance(mu, nu).value
 
     def test_degenerate_point_reports_skipped(self, reflected_pair):
         mu, nu = reflected_pair

@@ -5,7 +5,7 @@ import pytest
 
 from awgauss import (
     AwGaussError, BadParameter, GaussianSpec, NonFiniteValue, TooLarge, abw_distance, couplings, distances,
-    dpp_solve_discrete, kr_distance, random_gaussian, verify,
+    dpp_solve_discrete, kr_distance, random_gaussian, random_spd, verify,
 )
 from awgauss.oracle import _discrete_size_error
 from awgauss.verify import _global_checks, _pair_checks, random_pairs, run_verification
@@ -30,6 +30,21 @@ def test_global_checks_factor_each_matrix_once(factored, dim, triples):
     (result,) = _global_checks(dim, np.random.default_rng(0), triples=triples)
     assert result.name == "abw_triangle_inequality" and result.passed
     assert sum(factored) == 3 * triples
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64])
+def test_global_checks_chunks_are_the_one_stack(factored, dim):
+    # the chunked draws and factorizations give the one-stack result bitwise,
+    # leave the generator where the one stack does, and hold at most ~1e6 entries
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    (result,) = _global_checks(dim, rng)
+    LA, LB, LC = np.moveaxis(np.linalg.cholesky(random_spd(dim, ref_rng, (200, 3))), 1, 0)
+    ac, ab, bc = (np.sqrt(distances._abw_sq(L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
+    assert result.observed == float(np.max(ac - ab - bc, initial=0.0))
+    assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+    chunks = factored[:-1]  # the last call is the reference stack
+    assert sum(chunks) == 600 and max(chunks) * dim * dim <= 1_000_000
+    assert len(chunks) == (1 if dim <= 3 else 3)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -182,6 +197,23 @@ def test_corrupted_aw2_is_caught_at_every_magnitude(monkeypatch, cov_factor):
     failed = {(r.pair, r.name) for r in run_verification(pairs) if not r.passed}
     for pair in range(3):
         assert {(pair, "factor_diagonal_identity"), (pair, "sign_rule_attains_aw2")} <= failed
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.0 - 1e-6])
+@pytest.mark.parametrize("mean_factor", [1e6, 1e9])
+def test_corrupted_aw2_is_caught_behind_large_means(monkeypatch, mean_factor, factor):
+    # the covariance-only identities are held to Tr A + Tr B, which the means do not inflate
+    exact = verify.aw2
+
+    def corrupted(mu, nu):
+        value = exact(mu, nu)
+        return distances._report(value.mean_term, factor * value.cov_term)
+
+    monkeypatch.setattr(verify, "aw2", corrupted)
+    pairs = _scaled(random_pairs(3, 5, dim=3), mean_factor, 1.0)
+    failed = {(r.pair, r.name) for r in run_verification(pairs) if not r.passed}
+    for pair in range(3):
+        assert (pair, "factor_diagonal_identity") in failed
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
