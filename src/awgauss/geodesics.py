@@ -117,6 +117,16 @@ def _curve_point(mu0: GaussianSpec, mu1: GaussianSpec, MQ: np.ndarray, t: float)
     )
 
 
+def _law(mu0: GaussianSpec, mu1: GaussianSpec, p: GeodesicPoint) -> GaussianSpec:
+    """The law at curve point ``p``: at ``t = 0`` or ``1`` the endpoint law
+    itself, whose factor is cached, else a law built from the point."""
+    if p.t == 0.0:
+        return mu0
+    if p.t == 1.0:
+        return mu1
+    return GaussianSpec(p.mean, p.cov)
+
+
 OK = "ok"
 SKIPPED = "skipped"
 
@@ -159,7 +169,7 @@ def geodesic_check(
             scaled_endpoint_distance=None,
             abs_difference=None,
         )
-    lhs = distance(GaussianSpec(ps.mean, ps.cov), GaussianSpec(pt.mean, pt.cov)).value
+    lhs = distance(_law(mu0, mu1, ps), _law(mu0, mu1, pt)).value
     rhs = abs(ps.t - pt.t) * distance(mu0, mu1).value
     return GeodesicCheckReport(
         status=OK,

@@ -179,12 +179,27 @@ class TestGeodesicCheck:
             ADAPTED: distances.aw2,
         }[kind]
         mu, nu = _positive_diag_pair(3, 8)
-        for s, t in ((0.2, 0.7), (0.0, 1.0)):
+        for s, t in ((0.2, 0.7), (0.0, 1.0), (0.0, 0.7), (0.2, 1.0)):
             rep = geodesic_check(mu, nu, kind, s, t)
             ps, pt = geodesic_point(mu, nu, s, kind), geodesic_point(mu, nu, t, kind)
             lhs = distance(GaussianSpec(ps.mean, ps.cov), GaussianSpec(pt.mean, pt.cov)).value
             assert rep.point_distance == lhs
             assert rep.scaled_endpoint_distance == abs(s - t) * distance(mu, nu).value
+
+    def test_endpoints_are_not_factored_again(self, monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        mu, nu = _random_pair(3, 9)
+        mu.chol, nu.chol
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        rep = geodesic_check(mu, nu, ADAPTED, 0.0, 1.0)
+        assert rep.status == "ok"
+        assert calls == []
 
     def test_degenerate_point_reports_skipped(self, reflected_pair):
         mu, nu = reflected_pair

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,39 @@ from awgauss.oracle import _hermite_rule
 def _random_pair(dim, seed):
     rng = np.random.default_rng(seed)
     return random_gaussian(dim, rng), random_gaussian(dim, rng)
+
+
+def _block_cases():
+    """(N, n) pairs around the Monte Carlo sample blocks: the sample floor, the
+    fewest whole blocks at or above it (exactly one block up to N = 16), one
+    sample more, and up to N = 16 a large n that is no multiple of any block."""
+    cases = []
+    for dim in (1, 2, 3, 7, 8, 9, 16, 64, 130):
+        rows = oracle._BLOCK_ENTRIES // dim
+        whole = -(-oracle.MIN_MC_SAMPLES // rows) * rows
+        cases += [(dim, oracle.MIN_MC_SAMPLES), (dim, whole), (dim, whole + 1)]
+        if dim <= 16:
+            cases.append((dim, 123_457))
+    return cases
+
+
+@pytest.fixture
+def drawn_shapes(monkeypatch):
+    """Shapes of every ``standard_normal`` draw, in order; the double takes
+    only ``shape``, so a draw with ``out=`` would fail."""
+    shapes = []
+    make = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = make(seed)
+
+        def standard_normal(self, shape):
+            shapes.append(shape)
+            return self._rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return shapes
 
 
 class TestValueFunction:
@@ -439,6 +473,53 @@ class TestMonteCarlo:
     def test_sample_size_floor(self, reflected_pair):
         with pytest.raises(BadParameter):
             monte_carlo_cost(*reflected_pair, [0.0, 0.0], 100, seed=0)
+
+    @pytest.mark.parametrize("kind", ["sign_rule", "ones", "one_interior", "interior"])
+    @pytest.mark.parametrize("dim, n", _block_cases())
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_across_sample_blocks(self, out_of_place_monte_carlo, kind, dim, n, weighted):
+        rng = np.random.default_rng(1300 + dim)
+        mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+        signs = np.where(np.arange(dim) % 2, 1.0, -1.0)
+        rho = {
+            "sign_rule": optimal_sign(mu.chol, nu.chol).rho,
+            "ones": np.ones(dim),
+            "one_interior": np.where(np.arange(dim) == dim // 2, 0.3, signs),
+            "interior": rng.uniform(-1.0, 1.0, dim),
+        }[kind]
+        w = rng.uniform(0.5, 2.0, dim) if weighted else None
+        got = monte_carlo_cost(mu, nu, rho, n, seed=17, weights=w)
+        assert got == out_of_place_monte_carlo(mu, nu, rho, n, 17, weights=w)
+
+    @pytest.mark.parametrize("rho", [[1.0, -1.0], [1.0, 0.5]])
+    @pytest.mark.parametrize("weights", [None, [2.0, 1.0]])
+    def test_row_blocks_continue_the_stream(self, reflected_pair, drawn_shapes, rho, weights):
+        # with every |rho_t| = 1 the one draw of eps_x is taken in row blocks;
+        # otherwise eps_x comes whole, as xi follows all of it, and xi in row blocks
+        n = 100_000
+        monte_carlo_cost(*reflected_pair, rho, n, seed=0, weights=weights)
+        whole = [] if np.all(np.abs(rho) == 1.0) else [(n, 2)]
+        assert drawn_shapes[: len(whole)] == whole
+        blocks = drawn_shapes[len(whole):]
+        assert len(blocks) > 1
+        assert all(cols == 2 for _, cols in blocks)
+        assert sum(rows for rows, _ in blocks) == n
+
+    @pytest.mark.parametrize(
+        "rho, limit_mb", [([1.0, -1.0, 1.0], 3.0), ([0.3, -0.5, 1.0], 6.0)]
+    )
+    def test_peak_memory_is_the_samples_plus_a_block(self, rho, limit_mb):
+        # one (n, N) array is 2.4 MB here; the whole-sample form held several
+        # (8.8 MB with |rho_t| = 1, 11.2 MB with an interior rho_t)
+        mu, nu = _random_pair(3, 31)
+        mu.chol, nu.chol
+        tracemalloc.start()
+        try:
+            monte_carlo_cost(mu, nu, rho, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
 
 class TestRhoGridSearch:
