@@ -131,9 +131,8 @@ def coupling_pi_p(mu: GaussianSpec, nu: GaussianSpec, rho) -> JointGaussianCoupl
     r = as_correlations(rho, dim=mu.dim)
     L, M = mu.chol, nu.chol
     cross = (L * r[None, :]) @ M.T
-    n = mu.dim
+    # exactly symmetric: both laws store (S + S^T) / 2, and cross.T is exact
     cov = np.block([[mu.cov, cross], [cross.T, nu.cov]])
-    cov = (cov + cov.T) / 2.0
     w = np.linalg.eigvalsh(cov)
     if w[0] < -1e-9 * w[-1]:
         raise NumericalInconsistency(

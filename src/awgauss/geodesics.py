@@ -108,8 +108,7 @@ def _curve_point(mu0: GaussianSpec, mu1: GaussianSpec, MQ: np.ndarray, t: float)
         cov = (mu0 if t == 0.0 else mu1).cov
     else:
         F = (1.0 - t) * mu0.chol + t * MQ
-        cov = F @ F.T
-        cov = (cov + cov.T) / 2.0
+        cov = F @ F.T  # exactly symmetric: numpy takes an array times its own transpose by syrk
     mean = (1.0 - t) * mu0.mean + t * mu1.mean
     min_eig = float(np.linalg.eigvalsh(cov)[0])
     return GeodesicPoint(

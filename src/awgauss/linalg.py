@@ -193,16 +193,20 @@ class GaussianSpec:
     Attributes
     ----------
     mean : ndarray, shape (N,)
+        A read-only copy of the given mean; the caller's array is untouched.
     cov : ndarray, shape (N, N)
-        Symmetric positive definite (validated and symmetrized on
-        construction).
+        Symmetric positive definite.  Construction runs the shape, finiteness
+        and symmetry gates and stores ``(S + S^T) / 2``; positive definiteness
+        is the pivot gate of :func:`cholesky`, which runs at the first
+        :attr:`chol` (raising :class:`NotPositiveDefinite` there), except in
+        :meth:`from_cholesky`, which runs it on construction.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = as_vector(self.mean, name="mean")
+        mean = as_vector(self.mean, name="mean").copy()  # not the caller's array
         cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2:
             raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")

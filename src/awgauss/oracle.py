@@ -48,6 +48,10 @@ MIN_POINTS_PER_DIM = 2
 #: no page faults after the first call
 _BLOCK_ENTRIES = 16_384
 
+#: states per step of :func:`dpp_solve_discrete` that also get an exact
+#: assignment solve, beside the one at the root
+_ASSIGNMENT_SAMPLES = 8
+
 
 def _value_fn(mu: GaussianSpec, nu: GaussianSpec, t: int):
     """Closed-form value function at split ``t``, as a function of batched pasts
@@ -220,10 +224,10 @@ def _assignment_value(cost: np.ndarray) -> float:
     return float(cost[rows, cols].mean())
 
 
-def _refine(V: np.ndarray, rng, samples: int, value) -> None:
+def _refine(V: np.ndarray, rng, value) -> None:
     """Lower ``V[i, j]`` to ``value(i, j)`` at the root of a 1x1 table, else on
-    ``samples`` drawn states (all ``i`` drawn first, then all ``j``)."""
-    n = V.shape[0]
+    ``_ASSIGNMENT_SAMPLES`` drawn states (all ``i`` drawn first, then all ``j``)."""
+    n, samples = V.shape[0], _ASSIGNMENT_SAMPLES
     if n == 1:
         V[0, 0] = min(V[0, 0], value(0, 0))
     elif samples:
@@ -248,7 +252,6 @@ def dpp_solve_discrete(
     nu: GaussianSpec,
     points_per_dim: int,
     *,
-    assignment_samples: int = 8,
     seed: int = 0,
 ) -> float:
     """Discrete backward-induction estimate of the squared adapted distance.
@@ -257,9 +260,9 @@ def dpp_solve_discrete(
     ``points_per_dim`` mid-quantile nodes (levels ``(k + 0.5)/m``) with equal
     weights.  The backward recursion solves every one-step problem by taking
     the better of the sorted (comonotone) and reverse-sorted
-    (counter-monotone) pairings; on ``assignment_samples`` randomly chosen
-    states per step -- and always on the final step at the root -- a full
-    m-by-m optimal assignment is solved as well, so no third coupling
+    (counter-monotone) pairings; on ``_ASSIGNMENT_SAMPLES`` (8) randomly
+    chosen states per step -- and always on the final step at the root -- a
+    full m-by-m optimal assignment is solved as well, so no third coupling
     structure can win unnoticed.  The estimate refines toward the closed form
     as ``points_per_dim`` grows.
 
@@ -270,9 +273,6 @@ def dpp_solve_discrete(
     ----------
     points_per_dim : int
         Nodes per time step, >= 2.
-    assignment_samples : int
-        Number of sampled states per step to cross-check with an exact
-        assignment solve; 0 disables the cross-check.
     seed : int
         Seed for the assignment subsampling; the result is deterministic for
         a fixed seed.
@@ -282,9 +282,6 @@ def dpp_solve_discrete(
     m = int(points_per_dim)
     if m < MIN_POINTS_PER_DIM and N <= 3:
         raise BadParameter(f"points_per_dim must be >= {MIN_POINTS_PER_DIM}, got {m}")
-    samples = int(assignment_samples)
-    if samples < 0:
-        raise BadParameter(f"assignment_samples must be >= 0, got {samples}")
     if (too_large := _discrete_size_error(N, m)) is not None:
         raise TooLarge(too_large)
 
@@ -303,8 +300,7 @@ def dpp_solve_discrete(
     counter = ax[:, None] + ay[None, :] - 2.0 * (Xc @ Yc[:, ::-1].T) / m
     V = past2 + np.minimum(como, counter)
     _refine(
-        V, rng, samples,
-        lambda i, j: past2[i, j] + _assignment_value((Xc[i][:, None] - Yc[j][None, :]) ** 2),
+        V, rng, lambda i, j: past2[i, j] + _assignment_value((Xc[i][:, None] - Yc[j][None, :]) ** 2)
     )
 
     # interior steps: couple children through the stored value table
@@ -314,10 +310,7 @@ def dpp_solve_discrete(
         como = np.einsum("ikjk->ij", V4) / m
         counter = np.einsum("ikjk->ij", V4[:, :, :, ::-1]) / m
         Vnew = np.minimum(como, counter)
-        _refine(
-            Vnew, rng, assignment_samples,
-            lambda i, j: _assignment_value(np.ascontiguousarray(V4[i, :, j, :])),
-        )
+        _refine(Vnew, rng, lambda i, j: _assignment_value(np.ascontiguousarray(V4[i, :, j, :])))
         V = Vnew
     return float(V[0, 0])
 
@@ -349,18 +342,18 @@ def monte_carlo_cost(
     by block; otherwise ``eps^X`` is drawn whole, since ``xi`` follows all of
     it, and ``xi`` block by block.  Within a block the paths are time-major, one
     contiguous row of samples per time, so every elementwise step runs along
-    the long axis.  Unweighted costs at ``N < 8`` are summed over the rows,
-    the left-to-right order numpy uses for a sum of fewer than 8 terms;
-    larger ``N`` sum a sample-major copy of the block with ``sq.sum(axis=1)``.
-    Weighted costs gather the squared gaps of every block into one
-    sample-major array and reduce it with one ``sq @ w``, because that
-    matrix-vector product taken over row blocks can move the last bit of a
-    row.  Mean and standard error are taken over the whole cost vector, so
-    the result is bitwise that of the whole-sample form.
+    the long axis.  Weighted calls scale each row of squared gaps by its
+    ``w_t``; then every block is reduced the same way: at ``N < 8`` summed
+    over the rows, the left-to-right order numpy uses for a sum of fewer than
+    8 terms, at larger ``N`` a sample-major copy summed with
+    ``sq.sum(axis=1)``.  Mean and standard error are taken over the whole
+    cost vector, so the result is bitwise that of the whole-sample form
+    ``(sq * w).sum(axis=1)`` (``sq.sum(axis=1)`` unweighted).
     """
     check_same_dim(mu, nu)
     r = as_correlations(rho, dim=mu.dim)
-    w = None if weights is None else as_weights(weights, dim=mu.dim)
+    # time-major like the paths: one weight per row of a block
+    w = None if weights is None else as_weights(weights, dim=mu.dim)[:, None]
     n = int(n)
     if n < MIN_MC_SAMPLES:
         raise BadParameter(f"Monte Carlo needs n >= {MIN_MC_SAMPLES} samples, got {n}")
@@ -379,7 +372,6 @@ def monte_carlo_cost(
         # contiguous pass; a broadcast over (rows, N) runs its inner loop over N
         S = np.tile(np.sqrt(1.0 - r**2), (rows, 1))
         R = np.tile(r, (rows, 1))
-    sq = None if w is None else np.empty((n, N))
     cost = np.empty(n)
     for i in range(0, n, rows):
         j = min(i + rows, n)
@@ -398,14 +390,12 @@ def monte_carlo_cost(
         Y += b
         X -= Y
         X *= X
-        if sq is not None:
-            sq[i:j] = X.T
-        elif N < 8:
+        if w is not None:
+            X *= w
+        if N < 8:
             X.sum(axis=0, out=cost[i:j])
         else:
             np.ascontiguousarray(X.T).sum(axis=1, out=cost[i:j])
-    if sq is not None:
-        np.matmul(sq, w, out=cost)
     return MonteCarloEstimate(
         estimate=float(cost.mean()),
         standard_error=float(cost.std(ddof=1) / math.sqrt(n)),

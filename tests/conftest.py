@@ -45,7 +45,7 @@ def _out_of_place_monte_carlo(mu, nu, rho, n, seed, *, weights=None):
     X = mu.mean + eps_x @ mu.chol.T
     Y = nu.mean + eps_y @ nu.chol.T
     sq = (X - Y) ** 2
-    cost = sq.sum(axis=1) if weights is None else sq @ np.asarray(weights, dtype=float)
+    cost = (sq if weights is None else sq * np.asarray(weights, dtype=float)).sum(axis=1)
     return MonteCarloEstimate(
         estimate=float(cost.mean()), standard_error=float(cost.std(ddof=1) / math.sqrt(n))
     )

@@ -183,6 +183,19 @@ class TestCouplingPiP:
         assert w[0] >= -1e-9 * w[-1]  # PSD
         assert w[0] <= 1e-9 * w[-1]  # but singular
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("from_cholesky", [False, True])
+    def test_joint_covariance_is_exactly_symmetric(self, dim, from_cholesky):
+        # the laws store (S + S^T) / 2 and the lower-left block is cross.T,
+        # so the block matrix needs no averaging against its transpose
+        mu, nu = _random_pair(dim, 90 + dim)
+        if from_cholesky:
+            mu, nu = (GaussianSpec.from_cholesky(s.mean, s.chol) for s in (mu, nu))
+        rng = np.random.default_rng(dim)
+        for rho in (optimal_sign(mu.chol, nu.chol).rho, np.ones(dim), rng.uniform(-1.0, 1.0, dim)):
+            cov = coupling_pi_p(mu, nu, rho).cov
+            assert np.array_equal(cov, cov.T)
+
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_fault_check_is_relative_to_the_spectrum(self, monkeypatch, scale):
         # a joint spectrum whose least eigenvalue is -1e-3 of its largest is

@@ -122,6 +122,23 @@ class TestGeodesicPoint:
             np.testing.assert_array_equal(pa.cov, pk.cov)
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_product_with_own_transpose_is_exactly_symmetric(self, dim):
+        # a curve point is F F^T taken as it comes, with no averaging against
+        # its transpose: numpy forms it by syrk and mirrors one triangle
+        F = np.tril(np.random.default_rng(dim).standard_normal((dim, dim)))
+        cov = F @ F.T
+        assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("kind", GEODESIC_KINDS)
+    def test_points_are_exactly_symmetric(self, kind, dim):
+        mu, nu = _random_pair(dim, 60 + dim)
+        for t in (0.0, 0.25, 0.5, 0.8, 1.0):
+            cov = geodesic_point(mu, nu, t, kind).cov
+            assert np.array_equal(cov, cov.T)
+
+
 class TestGeodesicCheck:
     def test_same_parameter_is_zero(self):
         mu, nu = _random_pair(2, 6)

@@ -241,6 +241,22 @@ class TestGaussianSpec:
         with pytest.raises(ValueError):
             spec.cov[0, 0] = 7.0
 
+    @pytest.mark.parametrize("build", [GaussianSpec, GaussianSpec.from_cholesky])
+    def test_callers_mean_stays_writeable_and_apart(self, build):
+        m = np.zeros(2)
+        spec = build(m, np.eye(2))
+        assert m.flags.writeable and not spec.mean.flags.writeable
+        m[0] = 5.0
+        np.testing.assert_array_equal(spec.mean, [0.0, 0.0])
+
+    def test_positive_definiteness_is_gated_at_the_first_factor(self):
+        # construction runs the shape, finiteness and symmetry gates only;
+        # the pivot gate runs when .chol first factors the covariance
+        spec = GaussianSpec(np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])
+        np.testing.assert_array_equal(spec.cov, [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            spec.chol
+
     @pytest.mark.parametrize(
         "cov, error, message",
         [

@@ -281,8 +281,9 @@ class TestDiscreteSolver:
             return original(cost)
 
         monkeypatch.setattr(oracle, "_assignment_value", counting)
+        monkeypatch.setattr(oracle, "_ASSIGNMENT_SAMPLES", samples)
         mu, nu = _random_pair(dim, 20 + dim)
-        dpp_solve_discrete(mu, nu, 4, assignment_samples=samples, seed=3)
+        dpp_solve_discrete(mu, nu, 4, seed=3)
         assert len(calls) == 1 + samples * (dim - 1)
         assert set(calls) == {(4, 4)}
 
@@ -320,11 +321,13 @@ class TestDiscreteSolver:
         got = dpp_solve_discrete(mu, nu, 40)
         assert abs(got - closed) <= 0.1 * (1.0 + closed)
 
-    def test_assignment_never_improves_on_pairings(self):
+    def test_assignment_never_improves_on_pairings(self, monkeypatch):
         for seed in range(5):
             mu, nu = _random_pair(2, 400 + seed)
-            v_plain = dpp_solve_discrete(mu, nu, 60, assignment_samples=0)
-            v_checked = dpp_solve_discrete(mu, nu, 60, assignment_samples=64, seed=seed)
+            monkeypatch.setattr(oracle, "_ASSIGNMENT_SAMPLES", 0)
+            v_plain = dpp_solve_discrete(mu, nu, 60)
+            monkeypatch.setattr(oracle, "_ASSIGNMENT_SAMPLES", 64)
+            v_checked = dpp_solve_discrete(mu, nu, 60, seed=seed)
             assert v_plain >= v_checked - 1e-12  # assignment can only refine
             assert abs(v_plain - v_checked) <= 1e-9
 
@@ -344,12 +347,6 @@ class TestDiscreteSolver:
         mu2, nu2 = _random_pair(2, 11)
         with pytest.raises(BadParameter):
             dpp_solve_discrete(mu2, nu2, 1)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_negative_assignment_samples_are_a_bad_parameter(self, dim):
-        mu, nu = _random_pair(dim, 20 + dim)
-        with pytest.raises(BadParameter, match="assignment_samples must be >= 0, got -1"):
-            dpp_solve_discrete(mu, nu, 4, assignment_samples=-1)
 
 
 class TestMonteCarlo:
@@ -405,9 +402,31 @@ class TestMonteCarlo:
         X = mu.mean + eps_x @ mu.chol.T
         Y = nu.mean + eps_y @ nu.chol.T
         sq = (X - Y) ** 2
-        cost = sq @ w if weighted else sq.sum(axis=1)
+        cost = (sq * w).sum(axis=1) if weighted else sq.sum(axis=1)
         assert got.estimate == float(cost.mean())
         assert got.standard_error == float(cost.std(ddof=1) / math.sqrt(n))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 16, 64, 130])
+    @pytest.mark.parametrize("kind", ["unit", "interior"])
+    def test_weighted_within_1e_15_of_the_matrix_vector_form(self, dim, kind):
+        # weights scale each time row before the block's sum, which a
+        # matrix-vector product sq @ w orders differently: the last bit or two
+        rng = np.random.default_rng(1700 + dim)
+        mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+        rho = np.ones(dim) if kind == "unit" else rng.uniform(-1.0, 1.0, dim)
+        w = rng.uniform(0.5, 2.0, dim)
+        got = monte_carlo_cost(mu, nu, rho, 20_000, seed=19, weights=w)
+        draws = np.random.default_rng(19)
+        eps_x = draws.standard_normal((20_000, dim))
+        xi = draws.standard_normal((20_000, dim))
+        eps_y = rho * eps_x + np.sqrt(1.0 - rho**2) * xi
+        X = mu.mean + eps_x @ mu.chol.T
+        Y = nu.mean + eps_y @ nu.chol.T
+        cost = ((X - Y) ** 2) @ w
+        assert got.estimate == pytest.approx(float(cost.mean()), rel=1e-15, abs=0.0)
+        assert got.standard_error == pytest.approx(
+            float(cost.std(ddof=1) / math.sqrt(20_000)), rel=1e-15, abs=0.0
+        )
 
     @pytest.mark.parametrize("kind", ["sign_rule", "ones", "minus_ones", "mixed_signs", "one_interior"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -508,14 +527,16 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "rho, limit_mb", [([1.0, -1.0, 1.0], 3.0), ([0.3, -0.5, 1.0], 6.0)]
     )
-    def test_peak_memory_is_the_samples_plus_a_block(self, rho, limit_mb):
+    @pytest.mark.parametrize("weights", [None, [2.0, 1.0, 0.5]])
+    def test_peak_memory_is_the_samples_plus_a_block(self, rho, limit_mb, weights):
         # one (n, N) array is 2.4 MB here; the whole-sample form held several
-        # (8.8 MB with |rho_t| = 1, 11.2 MB with an interior rho_t)
+        # (8.8 MB with |rho_t| = 1, 11.2 MB with an interior rho_t), and a
+        # gathered (n, N) copy for weighted costs read 4.1 and 6.8 MB
         mu, nu = _random_pair(3, 31)
         mu.chol, nu.chol
         tracemalloc.start()
         try:
-            monte_carlo_cost(mu, nu, rho, 100_000, seed=0)
+            monte_carlo_cost(mu, nu, rho, 100_000, seed=0, weights=weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
