@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import _sign_rule, as_weights
+from .distances import _pair_svd, _sign_rule, as_weights
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
     GaussianSpec, _rdiv, _strict_upper, as_cholesky_factor, as_vector, check_same_dim,
@@ -189,19 +189,18 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     SVD ``L^T M = U S V^T`` of the cached factors: ``Q`` minimizes
     ``||L - M Q||_F`` over orthogonal matrices, and ``T`` equals
     ``A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``, symmetric positive
-    definite (a convex gradient).  Each output coordinate generally reads the
-    whole input path, which is exactly what the bicausal constraint forbids.
+    definite (a convex gradient).  Since ``M V = L^{-T} U S``, ``T = G G^T``
+    with ``G = M V S^{-1/2}``: no solve, and the SVD is the one
+    :func:`~awgauss.distances.wasserstein2` takes of the same pair.  Each
+    output coordinate generally reads the whole input path, which is exactly
+    what the bicausal constraint forbids.
     """
     check_same_dim(mu, nu)
-    L = mu.chol
-    T = _rdiv(_brenier_product(L, nu.chol), L)
-    return _affine(mu, nu, (T + T.T) / 2.0, BRENIER)
-
-
-def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``M Q`` with ``Q = V U^T`` from the SVD ``L^T M = U S V^T``."""
-    U, _, Vt = np.linalg.svd(L.T @ M)
-    return M @ (Vt.T @ U.T)
+    M = nu.chol
+    _, S, Vt = _pair_svd(mu.chol, M)
+    G = (M @ Vt.T) / np.sqrt(S)
+    # exactly symmetric: numpy takes an array times its own transpose by syrk
+    return _affine(mu, nu, G @ G.T, BRENIER)
 
 
 def _lower(X: np.ndarray) -> np.ndarray:

@@ -18,33 +18,18 @@ independently.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadAngle,
-    BadParameter,
-    DimensionMismatch,
-    NonPositiveWeight,
-    NumericalInconsistency,
-)
+from .errors import BadAngle, BadParameter, DimensionMismatch, NonPositiveWeight
 from .linalg import GaussianSpec, as_vector, check_same_dim, cholesky
 
-#: squared distances are mathematically nonnegative; float residue down to
-#: -CLAMP_TOL times the cancelling terms is clamped to zero, lower is a bug
-CLAMP_TOL = 1e-12
 #: |diag(L^T M)_t| at or below FREE_TOL * ||L||_F * ||M||_F counts as zero,
 #: i.e. the correlation at time t is a free (non-unique) direction
 FREE_TOL = 1e-12
-
-
-def clamp_sq(value: float, scale: float) -> float:
-    """Clamp residue of a nonnegative difference of terms of size ``scale`` to zero."""
-    if value < -CLAMP_TOL * scale:
-        raise NumericalInconsistency(f"squared distance = {value!r} is negative beyond float noise")
-    return max(value, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +80,10 @@ def _frobenius_sq(X: np.ndarray):
 
 
 # The three covariance terms read only the Cholesky factors L, M: each is
-# Tr A + Tr B - 2 r(L^T M), with r the trace (KR), the l1 norm of the
-# diagonal (AW) or the nuclear norm (W).
+# ||L - M Q||_F^2 over one orthogonal Q, Q = I (KR), diag(rho) from the sign
+# rule (AW) or V U^T from the SVD L^T M = U S V^T (W), and equals
+# Tr A + Tr B - 2 r(L^T M) with r the trace, the l1 norm of the diagonal or
+# the nuclear norm.  A sum of squares cancels nothing: equal factors give 0.
 
 
 def _kr_sq(L: np.ndarray, M: np.ndarray) -> float:
@@ -130,10 +117,45 @@ def _abw_sq(L: np.ndarray, M: np.ndarray):
     return _frobenius_sq(L - M * rho[..., None, :])
 
 
+#: (weak L, weak M, svd(L^T M)) of the last pair of read-only factors; one
+#: tuple, which another pair replaces by one assignment
+_last_pair = (None, None, None)
+
+
+def _pair_svd(L: np.ndarray, M: np.ndarray):
+    """``np.linalg.svd(L.T @ M)`` as ``(U, S, Vt)``, read from the last-pair
+    record when ``L`` and ``M`` are the very factors it was taken of.
+
+    Only read-only factors (the laws' cached ones) are recorded: a writable
+    array could change under its key.  The record holds weak references, so it
+    keeps no factor, and no law, alive.
+    """
+    global _last_pair
+    ref_l, ref_m, usv = _last_pair
+    if ref_l is not None and ref_l() is L and ref_m() is M:
+        return usv
+    usv = np.linalg.svd(L.T @ M)
+    if not (L.flags.writeable or M.flags.writeable):
+        _last_pair = (weakref.ref(L), weakref.ref(M), usv)
+    return usv
+
+
+def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``M Q`` with ``Q = V U^T`` from the SVD ``L^T M = U S V^T``, the
+    orthogonal ``Q`` that minimizes ``||L - M Q||_F``.
+
+    Bitwise equal factors give ``M`` itself: ``Q = I`` is the exact polar
+    factor of the positive definite ``L^T L``.
+    """
+    # the last pivots first: distinct laws almost always differ there already
+    if L is M or (L[-1, -1] == M[-1, -1] and np.array_equal(L, M)):
+        return M
+    U, _, Vt = _pair_svd(L, M)
+    return M @ (Vt.T @ U.T)
+
+
 def _bw_sq(L: np.ndarray, M: np.ndarray) -> float:
-    cross = float(np.sum(np.linalg.svd(L.T @ M, compute_uv=False)))
-    traces = _frobenius_sq(L) + _frobenius_sq(M)  # Tr A + Tr B
-    return clamp_sq(traces - 2.0 * cross, traces)
+    return _frobenius_sq(L - _brenier_product(L, M))
 
 
 def _process(mu: GaussianSpec, nu: GaussianSpec, cov_sq) -> DistanceReport:
@@ -147,9 +169,12 @@ def bures_wasserstein(A, B) -> float:
 
     ``sqrt(Tr A + Tr B - 2 Tr (A^{1/2} B A^{1/2})^{1/2})``, the covariance
     part of the unconstrained quadratic transport between centered Gaussians.
-    Computed as ``sqrt(Tr A + Tr B - 2 ||L^T M||_*)`` from the Cholesky
-    factors ``L, M``: the singular values of ``L^T M`` are the square roots
-    of the eigenvalues of ``A^{1/2} B A^{1/2}``.
+    Computed as ``||L - M V U^T||_F`` from the Cholesky factors ``L, M`` and
+    the SVD ``L^T M = U S V^T``: ``V U^T`` minimizes ``||L - M Q||_F`` over
+    orthogonal ``Q``, and the minimum squared is the trace expression, as the
+    singular values of ``L^T M`` are the square roots of the eigenvalues of
+    ``A^{1/2} B A^{1/2}``.  A sum of squares, it has no cancellation:
+    identical inputs give exactly zero.
     """
     return math.sqrt(_bw_sq(*_factor_pair(A, B)))
 
@@ -157,8 +182,10 @@ def bures_wasserstein(A, B) -> float:
 def wasserstein2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
     """Quadratic Wasserstein distance between Gaussian laws (mean/cov split).
 
-    The covariance term is ``Tr A + Tr B - 2 ||L^T M||_*`` (nuclear norm) on
-    the factors cached on the specs.
+    The covariance term is ``||L - M V U^T||_F^2`` on the factors ``L, M``
+    cached on the specs, with ``L^T M = U S V^T``; the SVD is shared with
+    :func:`~awgauss.couplings.brenier_map` and the Wasserstein curve of the
+    same pair.
     """
     return _process(mu, nu, _bw_sq)
 

@@ -54,6 +54,6 @@ class UnsupportedDimension(AwGaussError):
 
 
 class NumericalInconsistency(AwGaussError):
-    """A quantity that is mathematically constrained (e.g. a nonnegative radicand)
+    """A quantity that is mathematically constrained (e.g. a PSD joint covariance)
     came out wrong by more than float noise; indicates an internal bug or
     pathological input rather than an expected user error."""

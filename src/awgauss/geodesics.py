@@ -32,7 +32,7 @@ ADAPTED = "adapted"
 _GEOMETRIES = {
     WASSERSTEIN: (
         lambda mu, nu: couplings.brenier_map(mu, nu),
-        lambda L, M: couplings._brenier_product(L, M),  # Q = V U^T
+        lambda L, M: distances._brenier_product(L, M),  # Q = V U^T
         lambda mu, nu: distances.wasserstein2(mu, nu),
     ),
     KNOTHE_ROSENBLATT: (
@@ -168,8 +168,9 @@ def geodesic_check(
             scaled_endpoint_distance=None,
             abs_difference=None,
         )
-    lhs = distance(_law(mu0, mu1, ps), _law(mu0, mu1, pt)).value
+    # the endpoints first: W reads the SVD the product above just took
     rhs = abs(ps.t - pt.t) * distance(mu0, mu1).value
+    lhs = distance(_law(mu0, mu1, ps), _law(mu0, mu1, pt)).value
     return GeodesicCheckReport(
         status=OK,
         kind=kind,

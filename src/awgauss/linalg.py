@@ -294,8 +294,9 @@ def conditional(mu: GaussianSpec, t: int, x_past) -> GaussianSpec:
 def _rdiv(X: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Right division ``X @ inv(L)`` by a validated lower-triangular factor.
 
-    The one solve behind every map ``M Q L^{-1}`` and every conditional-mean
-    gain ``L_fp @ inv(L_pp)``; empty when ``L`` is ``0 x 0``.
+    The one solve behind the triangular maps ``M L^{-1}`` and
+    ``M diag(rho) L^{-1}`` and every conditional-mean gain
+    ``L_fp @ inv(L_pp)``; empty when ``L`` is ``0 x 0``.
     """
     return np.linalg.solve(L.T, X.T).T
 

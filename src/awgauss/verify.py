@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .couplings import _coupling_cost, _sign_selection, aw_map, brenier_map, coupling_cost, kr_map
-from .distances import _abw_sq, aw2, kr2, wasserstein2
+from .distances import _abw_sq, _frobenius_sq, aw2, kr2, wasserstein2
 from .errors import BadParameter, NonFiniteValue
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
 
@@ -92,8 +92,9 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
     worst = np.max(a2.squared_value - costs, initial=0.0)
     results.append(_result("random_rho_never_beats_sign_rule", pair, worst, tol))
 
+    brenier = brenier_map(mu, nu)
     for name, T in (
-        ("brenier_pushforward", brenier_map(mu, nu)),
+        ("brenier_pushforward", brenier),
         ("kr_pushforward", kr_map(mu, nu)),
         ("aw_pushforward", aw_map(mu, nu).map),
     ):
@@ -102,6 +103,10 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
         # the mean is held 100x tighter, in the distance unit sqrt(S)
         err = max(err, 100.0 * float(np.linalg.norm(img.mean - nu.mean)) / math.sqrt(S))
         results.append(_result(name, pair, err, 1e-8))
+    # a symmetric positive definite T pushing mu to nu (checked just above) is
+    # the optimal map, so its cost E|X - TX|^2 = ||(I - T) L||_F^2 pins W2
+    brenier_cost = _frobenius_sq(L - brenier.matrix @ L)
+    results.append(_result("w2_is_brenier_cost", pair, abs(w2.cov_term - brenier_cost), cov_tol))
 
     # block identity behind time consistency of the optimal coupling
     worst = 0.0

@@ -295,6 +295,22 @@ class TestBrenierMap:
         img = T.push(mu)
         assert np.linalg.norm(img.cov - nu.cov) <= 1e-8 * np.linalg.norm(nu.cov)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_exactly_symmetric(self, dim):
+        # T = G G^T, which numpy forms by syrk
+        for mu, nu in (_random_pair(dim, 900 + dim), _random_pair(dim, 950 + dim)):
+            T = brenier_map(mu, nu).matrix
+            assert np.array_equal(T, T.T)
+
+    def test_takes_no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brenier_map solved a linear system")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        mu, nu = _random_pair(3, 960)
+        img = brenier_map(mu, nu).push(mu)
+        assert np.linalg.norm(img.cov - nu.cov) <= 1e-13 * np.linalg.norm(nu.cov)
+
     @staticmethod
     def _check_map(mu, nu):
         T = brenier_map(mu, nu).matrix
@@ -490,8 +506,9 @@ def _close(actual, reference):
 
 
 class TestTriangularSolvesMatchScipy:
-    """The maps and the conditional gain solve on numpy's LAPACK; scipy's
-    triangular solve is the reference they must agree with."""
+    """The KR and AW maps and the conditional gain solve on numpy's LAPACK,
+    and the Brenier map takes no solve; scipy's triangular solve is the
+    reference they must all agree with."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 256])
     def test_maps(self, dim):

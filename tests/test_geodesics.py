@@ -173,8 +173,8 @@ class TestGeodesicCheck:
             assert rep.abs_difference <= 1e-8
 
     def test_builds_one_transport_map(self, monkeypatch):
-        # both points share one Q = V U^T, i.e. one SVD with singular vectors;
-        # the two wasserstein2 values take singular values only
+        # both points share one Q = V U^T; the endpoint distance reads the SVD
+        # the curve took, and the points' distance takes one of its own
         calls = []
         original = np.linalg.svd
 
@@ -186,7 +186,7 @@ class TestGeodesicCheck:
         mu, nu = _random_pair(3, 7)
         rep = geodesic_check(mu, nu, WASSERSTEIN, 0.2, 0.7)
         assert rep.status == "ok"
-        assert calls.count(True) == 1
+        assert calls.count(True) == 2 and calls.count(False) == 0
 
     @pytest.mark.parametrize("kind", GEODESIC_KINDS)
     def test_report_equals_distance_between_curve_points(self, kind):

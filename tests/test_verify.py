@@ -216,10 +216,36 @@ def test_corrupted_aw2_is_caught_behind_large_means(monkeypatch, mean_factor, fa
         assert (pair, "factor_diagonal_identity") in failed
 
 
+_SCALES = pytest.mark.parametrize(
+    "mean_factor, cov_factor", [(m, c) for m in (1.0, 1e6, 1e9) for c in (1e-12, 1.0, 1e8)]
+)
+
+
+@_SCALES
+def test_w2_is_brenier_cost_passes_at_every_magnitude(mean_factor, cov_factor):
+    pairs = _scaled(random_pairs(3, 5, dim=3), mean_factor, cov_factor)
+    checks = [r for r in run_verification(pairs, seed=1) if r.name == "w2_is_brenier_cost"]
+    assert len(checks) == 3 and all(r.passed for r in checks)
+
+
+@_SCALES
+@pytest.mark.parametrize("mutant", ["x0.99", "x1.01", "x(1-1e-6)", "kr"])
+def test_wrong_w2_is_caught_at_every_magnitude(monkeypatch, mutant, mean_factor, cov_factor):
+    # apart from this check only ordering_w2_le_aw2 reads W2, and a smaller
+    # W2 still passes it
+    exact = distances._bw_sq
+    factor = {"x0.99": 0.99, "x1.01": 1.01, "x(1-1e-6)": 1.0 - 1e-6}.get(mutant)
+    wrong = distances._kr_sq if factor is None else (lambda L, M: factor * exact(L, M))
+    monkeypatch.setattr(distances, "_bw_sq", wrong)
+    pairs = _scaled(random_pairs(3, 5, dim=3), mean_factor, cov_factor)
+    failed = {(r.pair, r.name) for r in run_verification(pairs, seed=1) if not r.passed}
+    assert {(pair, "w2_is_brenier_cost") for pair in range(3)} <= failed
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_identical_laws_pass(dim):
-    # W2's trace form leaves float noise of order sqrt(eps) in the distance
-    # at coincident laws, where aw2 is exactly 0; the squares are compared
+    # coincident laws: every distance is exactly 0, and the Brenier map the
+    # identity up to rounding
     for seed in range(20):
         mu = random_pairs(1, seed, dim=dim)[0][0]
         results = run_verification([(mu, mu)], seed=seed)
