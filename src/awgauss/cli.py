@@ -21,21 +21,22 @@ from pathlib import Path
 import numpy as np
 
 from . import figures, geodesics, verify
-from .couplings import _sign_selection, coupling_cost, coupling_pi_p
-from .distances import aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
+from .couplings import _sign_selection, _transport, coupling_cost, coupling_pi_p
+from .distances import _GEOMETRIES, aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
 from .errors import AwGaussError, NonFiniteValue
 from .problems import ProblemFormatError, load_problem, problem_echo
 
-_W, _KR, _AW = geodesics.WASSERSTEIN, geodesics.KNOTHE_ROSENBLATT, geodesics.ADAPTED
+#: every spelling of a geometry: its short name, its curve kind and the kind
+#: of its transport map
 _MAP_ALIASES = {
-    "w": _W, "wasserstein": _W, "brenier": _W,
-    "kr": _KR, "knothe-rosenblatt": _KR, "knothe_rosenblatt": _KR,
-    "aw": _AW, "adapted": _AW, "adapted-wasserstein": _AW,
+    name: kind
+    for kind, (short, _, map_kind) in _GEOMETRIES.items()
+    for name in (short, kind, map_kind)
 }
 
 
 def _map_kind(value: str) -> str:
-    key = value.strip().lower()
+    key = value.strip().lower().replace("-", "_")
     if key not in _MAP_ALIASES:
         raise argparse.ArgumentTypeError(f"unknown map/kind {value!r}")
     return _MAP_ALIASES[key]
@@ -160,7 +161,7 @@ def cmd_dist(args) -> tuple[dict, int]:
 def cmd_coupling(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
-    transport = geodesics.transport_for_kind(mu, nu, args.map)
+    transport = _transport(mu, nu, args.map)
     sign = _sign_selection(mu.chol, nu.chol)
     rho = args.rho if args.rho is not None else problem.rho
     rho_used = np.asarray(rho, dtype=float) if rho is not None else sign.rho
@@ -303,7 +304,7 @@ def cmd_figure(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     out = args.output if args.output is not None else Path("figure.svg")
     if args.kind == figures.CONTOUR_TRANSPORT:
-        transport = geodesics.transport_for_kind(problem.mu, problem.nu, args.map)
+        transport = _transport(problem.mu, problem.nu, args.map)
         svg, data = figures.contour_transport_figure(
             problem.mu, problem.nu, transport, out, grid_lines=args.grid_lines
         )

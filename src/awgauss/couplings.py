@@ -14,17 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import _pair_svd, _sign_rule, as_weights
+from .distances import (
+    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _pair_signs, _pair_svd, _same_factors,
+    as_weights,
+)
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
     GaussianSpec, _rdiv, _strict_upper, as_cholesky_factor, as_vector, check_same_dim,
     check_split, conditional,
 )
-
-BRENIER = "brenier"
-KNOTHE_ROSENBLATT = "knothe_rosenblatt"
-ADAPTED_WASSERSTEIN = "adapted_wasserstein"
-
 
 def as_correlations(rho, *, dim: int | None = None) -> np.ndarray:
     """Validate a per-time correlation vector with entries in [-1, 1]."""
@@ -45,7 +43,9 @@ class SignSelection:
     true iff there are no free indices.  The last entry is always +1 since
     ``diag(L^T M)_N = L_NN M_NN > 0``.  The same rule, with the same band,
     gives the values of ``aw2``, ``abw_distance`` and
-    ``weighted_bicausal_value``.
+    ``weighted_bicausal_value``.  ``rho`` and ``diag`` are read-only, like a
+    law's ``mean``, ``cov`` and ``chol``: the results of one factor pair share
+    them.
     """
 
     rho: np.ndarray
@@ -81,7 +81,7 @@ def optimal_sign(L, M, *, weights=None) -> SignSelection:
 
 def _sign_selection(L: np.ndarray, M: np.ndarray) -> SignSelection:
     """:class:`SignSelection` of two factors already known to be valid."""
-    d, rho, free = _sign_rule(L, M)
+    d, rho, free = _pair_signs(L, M)
     free_indices = tuple(int(i) + 1 for i in np.flatnonzero(free)) if free.any() else ()
     return SignSelection(
         rho=rho, free_indices=free_indices, unique=not free_indices, diag=d
@@ -155,7 +155,7 @@ def coupling_cost(mu: GaussianSpec, nu: GaussianSpec, rho) -> float:
 
 def _coupling_cost(mu: GaussianSpec, nu: GaussianSpec, R: np.ndarray):
     """:func:`coupling_cost` of each row of a validated ``(..., N)`` correlation stack."""
-    d = (mu.chol * nu.chol).sum(axis=0)
+    d = _pair_signs(mu.chol, nu.chol)[0]
     diff = mu.mean - nu.mean
     return diff @ diff + mu.cov.trace() + nu.cov.trace() - 2.0 * (R @ d)
 
@@ -174,12 +174,28 @@ class AffineTransportMap:
     def push(self, mu: GaussianSpec) -> GaussianSpec:
         """Pushforward of ``mu`` under the map."""
         T = self.matrix
-        cov = T @ mu.cov @ T.T
-        return GaussianSpec(self.offset + T @ mu.mean, (cov + cov.T) / 2.0)
+        return GaussianSpec(self.offset + T @ mu.mean, T @ mu.cov @ T.T)
 
 
-def _affine(mu, nu, T, kind) -> AffineTransportMap:
-    return AffineTransportMap(offset=nu.mean - T @ mu.mean, matrix=T, kind=kind)
+def _transport(mu: GaussianSpec, nu: GaussianSpec, kind: str) -> AffineTransportMap:
+    """Transport map ``x -> b + T (x - a)``, ``T = M Q L^{-1}``, of geometry ``kind``.
+
+    KR and AW solve for ``T`` from their factor product ``M Q``; W builds it
+    as ``G G^T`` (see :func:`brenier_map`), which needs no solve.
+    """
+    check_same_dim(mu, nu)
+    _, product, map_kind = _GEOMETRIES[kind]
+    L, M = mu.chol, nu.chol
+    if kind != WASSERSTEIN:
+        T = _lower(_rdiv(product(L, M), L))
+    elif _same_factors(L, M):
+        T = np.eye(mu.dim)  # Q = I, as in W2's product: exactly the identity
+    else:
+        _, S, Vt = _pair_svd(L, M)
+        G = (M @ Vt.T) / np.sqrt(S)
+        # exactly symmetric: numpy takes an array times its own transpose by syrk
+        T = G @ G.T
+    return AffineTransportMap(offset=nu.mean - T @ mu.mean, matrix=T, kind=map_kind)
 
 
 def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
@@ -191,16 +207,12 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     ``A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``, symmetric positive
     definite (a convex gradient).  Since ``M V = L^{-T} U S``, ``T = G G^T``
     with ``G = M V S^{-1/2}``: no solve, and the SVD is the one
-    :func:`~awgauss.distances.wasserstein2` takes of the same pair.  Each
-    output coordinate generally reads the whole input path, which is exactly
-    what the bicausal constraint forbids.
+    :func:`~awgauss.distances.wasserstein2` takes of the same pair; bitwise
+    equal factors give exactly ``T = I``.  Each output coordinate generally
+    reads the whole input path, which is exactly what the bicausal constraint
+    forbids.
     """
-    check_same_dim(mu, nu)
-    M = nu.chol
-    _, S, Vt = _pair_svd(mu.chol, M)
-    G = (M @ Vt.T) / np.sqrt(S)
-    # exactly symmetric: numpy takes an array times its own transpose by syrk
-    return _affine(mu, nu, G @ G.T, BRENIER)
+    return _transport(mu, nu, WASSERSTEIN)
 
 
 def _lower(X: np.ndarray) -> np.ndarray:
@@ -215,10 +227,7 @@ def kr_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     The matrix is lower triangular with positive diagonal: each output
     coordinate depends on the input only through its past.
     """
-    check_same_dim(mu, nu)
-    L, M = mu.chol, nu.chol
-    T = _lower(_rdiv(M, L))
-    return _affine(mu, nu, T, KNOTHE_ROSENBLATT)
+    return _transport(mu, nu, KNOTHE_ROSENBLATT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,11 +256,7 @@ def aw_map(mu: GaussianSpec, nu: GaussianSpec) -> AdaptedMapResult:
     bicausal coupling, and is the unique one iff no diagonal entry of
     ``L^T M`` vanishes.
     """
-    check_same_dim(mu, nu)
-    L, M = mu.chol, nu.chol
-    sign = _sign_selection(L, M)
-    T = _lower(_rdiv(M * sign.rho[None, :], L))
-    return AdaptedMapResult(map=_affine(mu, nu, T, ADAPTED_WASSERSTEIN), sign=sign)
+    return AdaptedMapResult(map=_transport(mu, nu, ADAPTED), sign=_sign_selection(mu.chol, nu.chol))
 
 
 def condition_coupling(

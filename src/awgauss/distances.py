@@ -79,15 +79,11 @@ def _frobenius_sq(X: np.ndarray):
     return (x @ np.swapaxes(x, -1, -2))[..., 0, 0]
 
 
-# The three covariance terms read only the Cholesky factors L, M: each is
+# Every covariance term reads only the Cholesky factors L, M: it is
 # ||L - M Q||_F^2 over one orthogonal Q, Q = I (KR), diag(rho) from the sign
 # rule (AW) or V U^T from the SVD L^T M = U S V^T (W), and equals
 # Tr A + Tr B - 2 r(L^T M) with r the trace, the l1 norm of the diagonal or
 # the nuclear norm.  A sum of squares cancels nothing: equal factors give 0.
-
-
-def _kr_sq(L: np.ndarray, M: np.ndarray) -> float:
-    return _frobenius_sq(L - M)
 
 
 def _sign_rule(L: np.ndarray, M: np.ndarray):
@@ -98,46 +94,59 @@ def _sign_rule(L: np.ndarray, M: np.ndarray):
     ``rho_t = sign(d_t)``, except that ``|d_t| <= FREE_TOL * ||L||_F ||M||_F``
     (the norms of that pair's own factors) is a free index (the cost does not
     depend on ``rho_t``) and takes +1; so ``rho_t = -1`` exactly when ``d_t``
-    is below the band.
+    is below the band.  The three arrays are read-only: the pair record
+    shares them between the results of one pair.
     """
     d = (L * M).sum(axis=-2)
     band = (FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M)))[..., None]
     free = np.abs(d) <= band
     rho = np.where(d < -band, -1.0, 1.0)
+    for x in (d, rho, free):
+        x.setflags(write=False)
     return d, rho, free
 
 
-def _abw_sq(L: np.ndarray, M: np.ndarray):
-    """Sign-rule value ``||L - M diag(rho)||_F^2``, ``rho`` from :func:`_sign_rule`.
-
-    A float for one factor pair; for ``(..., N, N)`` stacks one value per
-    pair, each bitwise equal to that pair's single-pair value.
-    """
-    _, rho, _ = _sign_rule(L, M)
-    return _frobenius_sq(L - M * rho[..., None, :])
-
-
-#: (weak L, weak M, svd(L^T M)) of the last pair of read-only factors; one
-#: tuple, which another pair replaces by one assignment
+#: (weak L, weak M, {name: derived data}) of the last pair of read-only
+#: factors, the data being the sign triple ``"signs"`` and the ``"svd"`` of
+#: ``L^T M``, each filled on first use; one tuple, which another pair replaces
+#: by one assignment
 _last_pair = (None, None, None)
 
 
-def _pair_svd(L: np.ndarray, M: np.ndarray):
-    """``np.linalg.svd(L.T @ M)`` as ``(U, S, Vt)``, read from the last-pair
-    record when ``L`` and ``M`` are the very factors it was taken of.
+def _derived(L: np.ndarray, M: np.ndarray, name: str, compute):
+    """``compute(L, M)``, read from the last-pair record under ``name`` when
+    ``L`` and ``M`` are the very factors it holds.
 
     Only read-only factors (the laws' cached ones) are recorded: a writable
     array could change under its key.  The record holds weak references, so it
-    keeps no factor, and no law, alive.
+    keeps no factor, and no law, alive.  Threads on one pair may each fill a
+    missing entry; they compute the same bits.
     """
     global _last_pair
-    ref_l, ref_m, usv = _last_pair
-    if ref_l is not None and ref_l() is L and ref_m() is M:
-        return usv
-    usv = np.linalg.svd(L.T @ M)
-    if not (L.flags.writeable or M.flags.writeable):
-        _last_pair = (weakref.ref(L), weakref.ref(M), usv)
-    return usv
+    ref_l, ref_m, data = _last_pair
+    if ref_l is None or ref_l() is not L or ref_m() is not M:
+        if L.flags.writeable or M.flags.writeable:
+            return compute(L, M)
+        data = {}
+        _last_pair = (weakref.ref(L), weakref.ref(M), data)
+    if name not in data:
+        data[name] = compute(L, M)
+    return data[name]
+
+
+def _pair_signs(L: np.ndarray, M: np.ndarray):
+    """:func:`_sign_rule` of a factor pair, through the pair record."""
+    return _derived(L, M, "signs", _sign_rule)
+
+
+def _pair_svd(L: np.ndarray, M: np.ndarray):
+    """``np.linalg.svd(L.T @ M)`` as ``(U, S, Vt)``, through the pair record."""
+    return _derived(L, M, "svd", lambda L, M: np.linalg.svd(L.T @ M))
+
+
+def _same_factors(L: np.ndarray, M: np.ndarray) -> bool:
+    # bitwise equality, last pivots first: distinct laws almost always differ there already
+    return L is M or (L[-1, -1] == M[-1, -1] and np.array_equal(L, M))
 
 
 def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -147,21 +156,39 @@ def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
     Bitwise equal factors give ``M`` itself: ``Q = I`` is the exact polar
     factor of the positive definite ``L^T L``.
     """
-    # the last pivots first: distinct laws almost always differ there already
-    if L is M or (L[-1, -1] == M[-1, -1] and np.array_equal(L, M)):
+    if _same_factors(L, M):
         return M
     U, _, Vt = _pair_svd(L, M)
     return M @ (Vt.T @ U.T)
 
 
-def _bw_sq(L: np.ndarray, M: np.ndarray) -> float:
-    return _frobenius_sq(L - _brenier_product(L, M))
+WASSERSTEIN = "wasserstein"
+KNOTHE_ROSENBLATT = "knothe_rosenblatt"
+ADAPTED = "adapted"
+
+#: kind -> (short name, factor product M Q from the factors (L, M), kind of its
+#: transport map).  The products call through the module attributes, so a function
+#: rebound there (a test double) is used; AW takes +1 on free indices (canonical).
+_GEOMETRIES = {
+    WASSERSTEIN: ("w", lambda L, M: _brenier_product(L, M), "brenier"),  # Q = V U^T
+    KNOTHE_ROSENBLATT: ("kr", lambda L, M: M, "knothe_rosenblatt"),  # Q = I
+    ADAPTED: ("aw", lambda L, M: M * _pair_signs(L, M)[1][..., None, :], "adapted_wasserstein"),
+}
 
 
-def _process(mu: GaussianSpec, nu: GaussianSpec, cov_sq) -> DistanceReport:
-    """Mean/covariance split of a process distance, on the cached factors."""
+def _cov_sq(kind: str, L: np.ndarray, M: np.ndarray):
+    """``||L - M Q||_F^2`` with the ``Q`` of geometry ``kind``.
+
+    A float for one factor pair; for ``(..., N, N)`` stacks (KR and AW) one
+    value per pair, each bitwise equal to that pair's single-pair value.
+    """
+    return _frobenius_sq(L - _GEOMETRIES[kind][1](L, M))
+
+
+def _process(mu: GaussianSpec, nu: GaussianSpec, kind: str) -> DistanceReport:
+    """Mean/covariance split of the process distance of ``kind``, on the cached factors."""
     check_same_dim(mu, nu)
-    return _report(_mean_term(mu, nu), cov_sq(mu.chol, nu.chol))
+    return _report(_mean_term(mu, nu), _cov_sq(kind, mu.chol, nu.chol))
 
 
 def bures_wasserstein(A, B) -> float:
@@ -176,7 +203,7 @@ def bures_wasserstein(A, B) -> float:
     ``A^{1/2} B A^{1/2}``.  A sum of squares, it has no cancellation:
     identical inputs give exactly zero.
     """
-    return math.sqrt(_bw_sq(*_factor_pair(A, B)))
+    return math.sqrt(_cov_sq(WASSERSTEIN, *_factor_pair(A, B)))
 
 
 def wasserstein2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
@@ -187,7 +214,7 @@ def wasserstein2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
     :func:`~awgauss.couplings.brenier_map` and the Wasserstein curve of the
     same pair.
     """
-    return _process(mu, nu, _bw_sq)
+    return _process(mu, nu, WASSERSTEIN)
 
 
 def kr_distance(A, B) -> float:
@@ -196,12 +223,12 @@ def kr_distance(A, B) -> float:
     Equals ``sqrt(Tr A + Tr B - 2 Tr(L^T M))``; the Cholesky map is an
     isometry onto lower-triangular matrices under the Frobenius norm.
     """
-    return math.sqrt(_kr_sq(*_factor_pair(A, B)))
+    return math.sqrt(_cov_sq(KNOTHE_ROSENBLATT, *_factor_pair(A, B)))
 
 
 def kr2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
     """Cost of the synchronous coupling between Gaussian laws (mean/cov split)."""
-    return _process(mu, nu, _kr_sq)
+    return _process(mu, nu, KNOTHE_ROSENBLATT)
 
 
 def abw_distance(A, B) -> float:
@@ -229,7 +256,7 @@ def abw_distance(A, B) -> float:
     being a sum of squares, has no cancellation: identical inputs give exactly
     zero.
     """
-    return math.sqrt(_abw_sq(*_factor_pair(A, B)))
+    return math.sqrt(_cov_sq(ADAPTED, *_factor_pair(A, B)))
 
 
 def aw2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
@@ -237,7 +264,7 @@ def aw2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
 
     ``aw2(mu, nu)^2 = ||a - b||^2 + abw_distance(A, B)^2``.
     """
-    return _process(mu, nu, _abw_sq)
+    return _process(mu, nu, ADAPTED)
 
 
 def as_weights(w, *, dim: int | None = None) -> np.ndarray:
@@ -265,7 +292,7 @@ def weighted_bicausal_value(mu: GaussianSpec, nu: GaussianSpec, weights) -> floa
     # absorb the weights into the factors; the same cancellation-free
     # sum-of-squares form as abw_distance then applies
     root_w = np.sqrt(w)[:, None]
-    return float(d @ (w * d)) + _abw_sq(root_w * mu.chol, root_w * nu.chol)
+    return float(d @ (w * d)) + _cov_sq(ADAPTED, root_w * mu.chol, root_w * nu.chol)
 
 
 def _check_angle(theta: float, name: str) -> float:

@@ -13,40 +13,17 @@ PSD) but are excluded from distance checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import couplings, distances
+from .distances import (  # the kinds are re-exported
+    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _frobenius_sq, _mean_term, _process,
+)
 from .errors import BadParameter
 from .linalg import GaussianSpec, _degenerate, check_same_dim
 
-WASSERSTEIN = "wasserstein"
-KNOTHE_ROSENBLATT = "knothe_rosenblatt"
-ADAPTED = "adapted"
-
-#: kind -> (transport map whose linear part drives the curve, its factor
-#: product M Q from the factors (L, M), distance the curve has constant speed
-#: in).  The entries call through the module attributes, so a function rebound
-#: there (a test double, a tracer) is used.
-_GEOMETRIES = {
-    WASSERSTEIN: (
-        lambda mu, nu: couplings.brenier_map(mu, nu),
-        lambda L, M: distances._brenier_product(L, M),  # Q = V U^T
-        lambda mu, nu: distances.wasserstein2(mu, nu),
-    ),
-    KNOTHE_ROSENBLATT: (
-        lambda mu, nu: couplings.kr_map(mu, nu),
-        lambda L, M: M,  # Q = I
-        lambda mu, nu: distances.kr2(mu, nu),
-    ),
-    ADAPTED: (
-        # canonical +1 tie-break on free indices; curve not unique there
-        lambda mu, nu: couplings.aw_map(mu, nu).map,
-        lambda L, M: M * distances._sign_rule(L, M)[1],  # Q = diag(rho)
-        lambda mu, nu: distances.aw2(mu, nu),
-    ),
-}
 GEODESIC_KINDS = tuple(_GEOMETRIES)
 
 
@@ -75,12 +52,6 @@ def _geometry(kind: str):
         ) from None
 
 
-def transport_for_kind(mu0: GaussianSpec, mu1: GaussianSpec, kind: str):
-    """Transport map whose linear part drives the interpolation of ``kind``."""
-    transport, _, _ = _geometry(kind)
-    return transport(mu0, mu1)
-
-
 def geodesic_point(
     mu0: GaussianSpec, mu1: GaussianSpec, t: float, kind: str
 ) -> GeodesicPoint:
@@ -91,7 +62,7 @@ def geodesic_point(
     """
     check_same_dim(mu0, mu1)
     t = _unit_parameter(t)
-    _, product, _ = _geometry(kind)
+    product = _geometry(kind)[1]
     return _curve_point(mu0, mu1, product(mu0.chol, mu1.chol), t)
 
 
@@ -153,30 +124,18 @@ def geodesic_check(
 ) -> GeodesicCheckReport:
     """Compare the distance between two curve points with the scaled endpoint
     distance under the metric matching ``kind``."""
-    _, product, distance = _geometry(kind)
+    product = _geometry(kind)[1]
     check_same_dim(mu0, mu1)
     s, t = _unit_parameter(s), _unit_parameter(t)
     MQ = product(mu0.chol, mu1.chol)  # one map for both points
     ps, pt = _curve_point(mu0, mu1, MQ, s), _curve_point(mu0, mu1, MQ, t)
-    if ps.degenerate or pt.degenerate:
-        return GeodesicCheckReport(
-            status=SKIPPED,
-            kind=kind,
-            s=ps.t,
-            t=pt.t,
-            point_distance=None,
-            scaled_endpoint_distance=None,
-            abs_difference=None,
-        )
-    # the endpoints first: W reads the SVD the product above just took
-    rhs = abs(ps.t - pt.t) * distance(mu0, mu1).value
-    lhs = distance(_law(mu0, mu1, ps), _law(mu0, mu1, pt)).value
+    status, lhs, rhs, diff = SKIPPED, None, None, None
+    if not (ps.degenerate or pt.degenerate):
+        # the endpoint distance from the product the points were built from
+        rhs = abs(ps.t - pt.t) * math.sqrt(_mean_term(mu0, mu1) + _frobenius_sq(mu0.chol - MQ))
+        lhs = _process(_law(mu0, mu1, ps), _law(mu0, mu1, pt), kind).value
+        status, diff = OK, abs(lhs - rhs)
     return GeodesicCheckReport(
-        status=OK,
-        kind=kind,
-        s=ps.t,
-        t=pt.t,
-        point_distance=lhs,
-        scaled_endpoint_distance=rhs,
-        abs_difference=abs(lhs - rhs),
+        status=status, kind=kind, s=ps.t, t=pt.t, point_distance=lhs,
+        scaled_endpoint_distance=rhs, abs_difference=diff,
     )

@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtri, roots_hermitenorm
 
 from .couplings import _coupling_cost, as_correlations, coupling_cost
-from .distances import _abw_sq, as_weights
+from .distances import ADAPTED, _cov_sq, as_weights
 from .errors import BadParameter, BadSplit, TooLarge
 from .linalg import GaussianSpec, _rdiv, as_vector, check_same_dim, check_split
 
@@ -62,7 +62,7 @@ def _value_fn(mu: GaussianSpec, nu: GaussianSpec, t: int):
     # at t = N they and the tail are empty and the value is the past cost
     gx = _rdiv(L[t:, :t], L[:t, :t]).T
     gy = _rdiv(M[t:, :t], M[:t, :t]).T
-    tail = _abw_sq(L[t:, t:], M[t:, t:])
+    tail = _cov_sq(ADAPTED, L[t:, t:], M[t:, t:])
 
     def value(X, Y):
         past = np.sum((X - Y) ** 2, axis=1)

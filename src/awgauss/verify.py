@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .couplings import _coupling_cost, _sign_selection, aw_map, brenier_map, coupling_cost, kr_map
-from .distances import _abw_sq, _frobenius_sq, aw2, kr2, wasserstein2
+from .distances import ADAPTED, _cov_sq, _frobenius_sq, aw2, kr2, wasserstein2
 from .errors import BadParameter, NonFiniteValue
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
 
@@ -60,6 +60,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
     cov_tol = REL_TOL * traces  # <= tol, so large means cannot hide a covariance error
     results = []
     w2 = wasserstein2(mu, nu)
+    brenier = brenier_map(mu, nu)  # the SVD W2 just took: abw_symmetry's reversed pair replaces it
     k2 = kr2(mu, nu)
     a2 = aw2(mu, nu)
 
@@ -80,7 +81,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
     trace_form = float(traces - 2.0 * np.trace(L.T @ M))
     results.append(_result("kr_trace_identity", pair, abs(kr_sq - trace_form), cov_tol))
 
-    sym = abs(abw - math.sqrt(_abw_sq(M, L)))
+    sym = abs(abw - math.sqrt(_cov_sq(ADAPTED, M, L)))
     results.append(_result("abw_symmetry", pair, sym, REL_TOL * math.sqrt(S)))  # distance units
 
     ones = np.ones(mu.dim)
@@ -92,7 +93,6 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
     worst = np.max(a2.squared_value - costs, initial=0.0)
     results.append(_result("random_rho_never_beats_sign_rule", pair, worst, tol))
 
-    brenier = brenier_map(mu, nu)
     for name, T in (
         ("brenier_pushforward", brenier),
         ("kr_pushforward", kr_map(mu, nu)),
@@ -167,7 +167,7 @@ def _global_checks(dim: int, rng, triples: int = 200):
     for start in range(0, triples, per):
         chunk = random_spd(dim, rng, (min(per, triples - start), 3))
         LA, LB, LC = np.moveaxis(cholesky(chunk), 1, 0)
-        ac, ab, bc = (np.sqrt(_abw_sq(L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
+        ac, ab, bc = (np.sqrt(_cov_sq(ADAPTED, L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
         worst = np.maximum(worst, np.max(ac - ab - bc))  # NaN propagates, as a failure
     return [_result("abw_triangle_inequality", -1, worst, 1e-9)]
 

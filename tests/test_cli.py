@@ -133,7 +133,7 @@ class TestCoupling:
         [
             (("w", "wasserstein", "brenier"), "brenier", "wasserstein"),
             (("kr", "knothe-rosenblatt", "knothe_rosenblatt"), "knothe_rosenblatt", "knothe_rosenblatt"),
-            (("aw", "adapted", "adapted-wasserstein"), "adapted_wasserstein", "adapted"),
+            (("aw", "adapted", "adapted-wasserstein", "adapted_wasserstein"), "adapted_wasserstein", "adapted"),
         ],
     )
     def test_map_aliases_pin_kind(self, tmp_path, capsys, aliases, map_kind, geodesic_kind):
@@ -145,6 +145,15 @@ class TestCoupling:
             code, doc = _run(capsys, ["geodesic", path, "--kind", alias, "--t", "0.25"])
             assert code == 0
             assert doc["kind"] == geodesic_kind
+
+    @pytest.mark.parametrize("command", [["coupling", "--map"], ["geodesic", "--t", "0.5", "--kind"]])
+    @pytest.mark.parametrize("spelling", ["adapted-", "b", "w2", "brenier_map", ""])
+    def test_unknown_map_spelling_exits_2(self, tmp_path, capsys, command, spelling):
+        path = _write(tmp_path, REFLECTED)
+        with pytest.raises(SystemExit) as info:
+            main([command[0], path, *command[1:], spelling])
+        assert info.value.code == 2
+        assert f"unknown map/kind {spelling!r}" in capsys.readouterr().err
 
     def test_kr_and_w_maps(self, tmp_path, capsys):
         path = _write(tmp_path, REFLECTED)

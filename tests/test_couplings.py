@@ -275,11 +275,15 @@ class TestCouplingCost:
 
 
 class TestBrenierMap:
-    def test_identity_on_equal_laws(self):
-        mu, _ = _random_pair(3, 6)
-        T = brenier_map(mu, mu)
-        np.testing.assert_allclose(T.matrix, np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(T.offset, np.zeros(3), atol=1e-8)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_identity_on_equal_laws(self, dim):
+        # exactly I, as W2 of the pair is exactly 0: the same law, and an equal
+        # law with a factor of its own
+        mu, _ = _random_pair(dim, 6 + dim)
+        for nu in (mu, GaussianSpec(mu.mean, mu.cov)):
+            T = brenier_map(mu, nu)
+            assert T.matrix.tobytes() == np.eye(dim).tobytes()
+            assert T.offset.tobytes() == np.zeros(dim).tobytes()
 
     def test_diagonal_case(self):
         mu = GaussianSpec(np.zeros(2), np.diag([1.0, 4.0]))
@@ -347,6 +351,17 @@ class TestBrenierMap:
             want = seed_brenier_matrix(mu.cov, nu.cov)
             got = brenier_map(mu, nu).matrix
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+def test_push_is_the_law_of_the_product(dim):
+    # push hands T A T^T to GaussianSpec, which symmetrizes it once
+    mu, nu = _random_pair(dim, 980 + dim)
+    for T in (brenier_map(mu, nu), kr_map(mu, nu), aw_map(mu, nu).map):
+        want = GaussianSpec(T.offset + T.matrix @ mu.mean, T.matrix @ mu.cov @ T.matrix.T)
+        got = T.push(mu)
+        assert got.cov.tobytes() == want.cov.tobytes(), T.kind
+        assert got.mean.tobytes() == want.mean.tobytes(), T.kind
 
 
 class TestKrMap:

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import threading
 import weakref
 
@@ -32,7 +33,7 @@ from awgauss import (
     weighted_bicausal_value,
 )
 from awgauss import distances
-from awgauss.distances import _abw_sq, _frobenius_sq, _sign_rule
+from awgauss.distances import ADAPTED, _cov_sq, _frobenius_sq, _sign_rule
 
 
 def _random_pair(dim, seed):
@@ -178,9 +179,27 @@ def _svd_outputs(pair):
     return rep.squared_value, rep.cov_term, T.matrix.tobytes(), T.offset.tobytes(), point.cov.tobytes()
 
 
+def _sign_outputs(pair):
+    """Every output that reads a pair's sign triple, each from the laws ``pair()`` returns."""
+    rep = aw2(*pair())
+    sign = optimal_sign(*(law.chol for law in pair()))
+    result = aw_map(*pair())
+    cost = coupling_cost(*pair(), sign.rho)
+    point = geodesic_point(*pair(), 0.5, "adapted")
+    return (
+        rep.squared_value, rep.cov_term, sign.rho.tobytes(), sign.diag.tobytes(), sign.free_indices,
+        result.map.matrix.tobytes(), result.map.offset.tobytes(), cost, point.cov.tobytes(),
+    )
+
+
+_RECORDED = pytest.mark.parametrize("outputs", [_svd_outputs, _sign_outputs], ids=["svd", "signs"])
+
+
 class TestPairRecord:
-    """W2, the Brenier map and the W curve of one pair share one SVD of
-    ``L^T M`` through the last-pair record, keyed on the laws' factors."""
+    """The results of one pair share its SVD of ``L^T M`` (W2, the Brenier map,
+    the W curve) and its sign triple (AW2, the sign selection, the AW map, the
+    coupling cost, the AW curve) through the last-pair record, keyed on the
+    laws' factors."""
 
     def test_one_svd_for_distance_and_map(self, monkeypatch):
         calls = []
@@ -196,51 +215,85 @@ class TestPairRecord:
         brenier_map(mu, nu)
         assert calls == [True]
 
-    def test_hits_equal_fresh_pairs_bitwise(self):
+    def test_one_sign_rule_per_pair(self, monkeypatch):
+        # the closed forms of a benchmark pair op, weighted value aside
+        calls = []
+        original = distances._sign_rule
+        monkeypatch.setattr(distances, "_sign_rule", lambda L, M: calls.append(1) or original(L, M))
+        mu, nu = _random_pair(4, 28)
+        sign = optimal_sign(mu.chol, nu.chol)
+        aw2(mu, nu)
+        aw_map(mu, nu)
+        coupling_cost(mu, nu, sign.rho)
+        geodesic_point(mu, nu, 0.5, "adapted")
+        assert len(calls) == 1
+
+    def test_sign_arrays_are_read_only(self):
+        mu, nu = _random_pair(3, 29)
+        sign = optimal_sign(mu.chol, nu.chol)
+        assert not (sign.rho.flags.writeable or sign.diag.flags.writeable)
+        with pytest.raises(ValueError):
+            sign.rho[0] = -sign.rho[0]
+        assert aw_map(mu, nu).sign.rho is sign.rho
+
+    @_RECORDED
+    def test_hits_equal_fresh_pairs_bitwise(self, outputs):
         (mu_a, nu_a), (mu_b, nu_b) = _random_pair(5, 22), _random_pair(5, 23)
         pairs = {"a": (mu_a, nu_a), "b": (mu_b, nu_b), "reversed a": (nu_a, mu_a)}
         # copies of the laws never meet the record's keys: each call is a miss
         fresh = {
-            name: _svd_outputs(lambda mu=mu, nu=nu: (_copy(mu), _copy(nu)))
+            name: outputs(lambda mu=mu, nu=nu: (_copy(mu), _copy(nu)))
             for name, (mu, nu) in pairs.items()
         }
         for name in ("a", "b", "a", "reversed a", "a"):
-            assert _svd_outputs(lambda: pairs[name]) == fresh[name], name
+            assert outputs(lambda: pairs[name]) == fresh[name], name
 
-    def test_threads_on_different_pairs_agree_with_one_thread(self):
-        pairs = [_random_pair(8, 24), _random_pair(8, 25)]
-        expected = [_svd_outputs(lambda p=p: p) for p in pairs]
-        start = threading.Barrier(2)
+    @_RECORDED
+    def test_threads_on_different_pairs_agree_with_one_thread(self, outputs):
+        # more threads than cores, switching often, each on its own pair
+        pairs = [_random_pair(8, 24 + k) for k in range(4)]
+        expected = [outputs(lambda p=p: p) for p in pairs]
+        start = threading.Barrier(len(pairs))
         mismatches = []
 
         def run(k):
             start.wait()
             for _ in range(50):
-                if _svd_outputs(lambda: pairs[k]) != expected[k]:
+                if outputs(lambda: pairs[k]) != expected[k]:
                     mismatches.append(k)
 
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(pairs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
 
-    def test_keeps_no_law_alive(self):
+    @_RECORDED
+    def test_keeps_no_law_alive(self, outputs):
         mu, nu = _random_pair(3, 26)
-        wasserstein2(mu, nu)
+        outputs(lambda: (mu, nu))
         refs = weakref.ref(mu), weakref.ref(nu)
         del mu, nu
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
-    def test_raw_matrices_take_their_own_svd(self):
-        # bures_wasserstein's factors are writable, not a law's: they could
-        # change under a key
+    def test_raw_matrices_take_their_own_svd_and_signs(self):
+        # bures_wasserstein's and abw_distance's factors are writable, as are
+        # factors passed to optimal_sign by the caller, not a law's: they
+        # could change under a key
         mu, nu = _random_pair(3, 27)
-        want = math.sqrt(wasserstein2(mu, nu).cov_term)
+        want = math.sqrt(wasserstein2(mu, nu).cov_term), math.sqrt(aw2(mu, nu).cov_term)
         record = distances._last_pair
-        assert bures_wasserstein(mu.cov, nu.cov) == want
+        assert (bures_wasserstein(mu.cov, nu.cov), abw_distance(mu.cov, nu.cov)) == want
+        sign = optimal_sign(np.array(mu.chol), np.array(nu.chol))
+        assert sign.rho.tobytes() == optimal_sign(mu.chol, nu.chol).rho.tobytes()
         assert distances._last_pair is record
 
 
@@ -341,14 +394,14 @@ class TestStackedSignRule:
             L[3] = [[1.0, 0.0], [1.0, 1.0]]
             M[3] = [[1.0, 0.0], [-1.0, 1.0]]
         d, rho, free = _sign_rule(L, M)
-        values = _abw_sq(L, M)
+        values = _cov_sq(ADAPTED, L, M)
         assert values.shape == d.shape[:-1] == (6,)
         for k in range(6):
             d_k, rho_k, free_k = _sign_rule(L[k], M[k])
             np.testing.assert_array_equal(d[k], d_k)
             np.testing.assert_array_equal(rho[k], rho_k)
             np.testing.assert_array_equal(free[k], free_k)
-            assert values[k] == _abw_sq(L[k], M[k])
+            assert values[k] == _cov_sq(ADAPTED, L[k], M[k])
         if dim == 2:
             assert free[3].tolist() == [True, False] and values[3] == 4.0
 

@@ -9,10 +9,8 @@ from awgauss import (
     geodesic_point,
     random_gaussian,
 )
-from awgauss import distances
-from awgauss.geodesics import (
-    ADAPTED, GEODESIC_KINDS, KNOTHE_ROSENBLATT, WASSERSTEIN, transport_for_kind,
-)
+from awgauss import couplings, distances
+from awgauss.geodesics import ADAPTED, GEODESIC_KINDS, KNOTHE_ROSENBLATT, WASSERSTEIN
 
 
 def _random_pair(dim, seed):
@@ -22,7 +20,7 @@ def _random_pair(dim, seed):
 
 def _map_formula_cov(mu, nu, t, kind):
     """``T_t A0 T_t^T`` with ``T_t = (1 - t) I + t T`` from the printed map ``T``."""
-    Tt = (1.0 - t) * np.eye(mu.dim) + t * transport_for_kind(mu, nu, kind).matrix
+    Tt = (1.0 - t) * np.eye(mu.dim) + t * couplings._transport(mu, nu, kind).matrix
     cov = Tt @ mu.cov @ Tt.T
     return (cov + cov.T) / 2.0
 
@@ -187,6 +185,22 @@ class TestGeodesicCheck:
         rep = geodesic_check(mu, nu, WASSERSTEIN, 0.2, 0.7)
         assert rep.status == "ok"
         assert calls.count(True) == 2 and calls.count(False) == 0
+
+    def test_endpoint_product_formed_once(self, monkeypatch):
+        # the endpoint distance reads the M V U^T the curve points were built
+        # from; the points' own distance forms one product of their own pair
+        mu, nu = _random_pair(8, 10)
+        endpoints = []
+        original = distances._brenier_product
+
+        def counting(L, M):
+            endpoints.append(L is mu.chol and M is nu.chol)
+            return original(L, M)
+
+        monkeypatch.setattr(distances, "_brenier_product", counting)
+        rep = geodesic_check(mu, nu, WASSERSTEIN, 0.2, 0.7)
+        assert rep.status == "ok"
+        assert endpoints == [True, False]
 
     @pytest.mark.parametrize("kind", GEODESIC_KINDS)
     def test_report_equals_distance_between_curve_points(self, kind):

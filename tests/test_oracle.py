@@ -26,7 +26,7 @@ from awgauss import (
     value_function,
     weighted_bicausal_value,
 )
-from awgauss.distances import _abw_sq
+from awgauss.distances import ADAPTED, _cov_sq
 from awgauss import oracle
 from awgauss.oracle import _hermite_rule
 
@@ -598,7 +598,7 @@ def _scipy_value(mu, nu, t, x, y):
     if t > 0:
         cmx = cmx + solve_triangular(L[:t, :t], L[t:, :t].T, lower=True, trans="T").T @ (x - a[:t])
         cmy = cmy + solve_triangular(M[:t, :t], M[t:, :t].T, lower=True, trans="T").T @ (y - b[:t])
-    return value + float(np.sum((cmx - cmy) ** 2)) + _abw_sq(L[t:, t:], M[t:, t:])
+    return value + float(np.sum((cmx - cmy) ** 2)) + _cov_sq(ADAPTED, L[t:, t:], M[t:, t:])
 
 
 class TestTriangularSolvesMatchScipy:

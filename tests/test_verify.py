@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from awgauss import (
-    AwGaussError, BadParameter, GaussianSpec, NonFiniteValue, TooLarge, abw_distance, couplings, distances,
+    AwGaussError, BadParameter, GaussianSpec, NonFiniteValue, TooLarge, abw_distance, distances,
     dpp_solve_discrete, kr_distance, random_gaussian, random_spd, verify,
 )
 from awgauss.oracle import _discrete_size_error
@@ -39,7 +39,7 @@ def test_global_checks_chunks_are_the_one_stack(factored, dim):
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     (result,) = _global_checks(dim, rng)
     LA, LB, LC = np.moveaxis(np.linalg.cholesky(random_spd(dim, ref_rng, (200, 3))), 1, 0)
-    ac, ab, bc = (np.sqrt(distances._abw_sq(L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
+    ac, ab, bc = (np.sqrt(distances._cov_sq(distances.ADAPTED, L, M)) for L, M in ((LA, LC), (LA, LB), (LB, LC)))
     assert result.observed == float(np.max(ac - ab - bc, initial=0.0))
     assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
     chunks = factored[:-1]  # the last call is the reference stack
@@ -86,13 +86,14 @@ def test_pair_checks_reuse_what_they_computed(monkeypatch, dim):
 
     count(verify, "coupling_cost")
     count(distances, "_sign_rule")
-    count(couplings, "_sign_rule")
     rng = np.random.default_rng(40 + dim)
     mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
     results = _pair_checks(mu, nu, 0, np.random.default_rng(5))
     assert all(r.passed for r in results)
-    # the two fixed correlations; the 32 random ones are one stacked evaluation
-    assert calls == {"coupling_cost": 2, "_sign_rule": 4}
+    # the two fixed correlations; the 32 random ones are one stacked evaluation.
+    # One sign rule per pair record: (mu, nu), the reversed pair of abw_symmetry,
+    # and (mu, nu) again after it
+    assert calls == {"coupling_cost": 2, "_sign_rule": 3}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -232,11 +233,17 @@ def test_w2_is_brenier_cost_passes_at_every_magnitude(mean_factor, cov_factor):
 @pytest.mark.parametrize("mutant", ["x0.99", "x1.01", "x(1-1e-6)", "kr"])
 def test_wrong_w2_is_caught_at_every_magnitude(monkeypatch, mutant, mean_factor, cov_factor):
     # apart from this check only ordering_w2_le_aw2 reads W2, and a smaller
-    # W2 still passes it
-    exact = distances._bw_sq
+    # W2 still passes it; each mutant scales or replaces W2's covariance term
+    exact = distances.wasserstein2
     factor = {"x0.99": 0.99, "x1.01": 1.01, "x(1-1e-6)": 1.0 - 1e-6}.get(mutant)
-    wrong = distances._kr_sq if factor is None else (lambda L, M: factor * exact(L, M))
-    monkeypatch.setattr(distances, "_bw_sq", wrong)
+
+    def wrong(mu, nu):
+        if factor is None:
+            return distances.kr2(mu, nu)
+        w2 = exact(mu, nu)
+        return distances._report(w2.mean_term, factor * w2.cov_term)
+
+    monkeypatch.setattr(verify, "wasserstein2", wrong)
     pairs = _scaled(random_pairs(3, 5, dim=3), mean_factor, cov_factor)
     failed = {(r.pair, r.name) for r in run_verification(pairs, seed=1) if not r.passed}
     assert {(pair, "w2_is_brenier_cost") for pair in range(3)} <= failed
@@ -244,12 +251,14 @@ def test_wrong_w2_is_caught_at_every_magnitude(monkeypatch, mutant, mean_factor,
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_identical_laws_pass(dim):
-    # coincident laws: every distance is exactly 0, and the Brenier map the
-    # identity up to rounding
+    # coincident laws: every distance is exactly 0, and the Brenier map exactly
+    # the identity, so it pushes mu to itself and costs W2 exactly
     for seed in range(20):
         mu = random_pairs(1, seed, dim=dim)[0][0]
         results = run_verification([(mu, mu)], seed=seed)
         assert [r.name for r in results if not r.passed] == [], seed
+        observed = {r.name: r.observed for r in results}
+        assert observed["brenier_pushforward"] == observed["w2_is_brenier_cost"] == 0.0, seed
 
 
 def test_overflowing_second_moment_is_refused():
