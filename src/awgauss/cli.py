@@ -42,21 +42,20 @@ def _map_kind(value: str) -> str:
     return _MAP_ALIASES[key]
 
 
-def _float_list(value: str) -> list[float]:
-    try:
-        return [float(part) for part in value.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {value!r}") from exc
+def _comma_list(parse, noun: str, *, nonempty: bool = False):
+    """An argparse type: comma-separated values, each read by ``parse``;
+    ``noun`` names one value in the error messages."""
 
+    def parse_list(value: str) -> list:
+        try:
+            items = [parse(part) for part in value.split(",") if part.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s: {value!r}") from exc
+        if nonempty and not items:
+            raise argparse.ArgumentTypeError(f"expected at least one {noun}: {value!r}")
+        return items
 
-def _int_list(value: str) -> list[int]:
-    try:
-        ints = [int(part) for part in value.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {value!r}") from exc
-    if not ints:
-        raise argparse.ArgumentTypeError(f"expected at least one integer: {value!r}")
-    return ints
+    return parse_list
 
 
 def _add_global_flags(parser, *, suppress: bool):
@@ -88,18 +87,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = p.add_subparsers(dest="command", required=True)
 
-    dist = sub.add_parser("dist", parents=[common], help="all closed-form distances for a problem")
+    def command(name, handler, summary):
+        parser = sub.add_parser(name, parents=[common], help=summary)
+        parser.set_defaults(handler=handler)
+        return parser
+
+    dist = command("dist", cmd_dist, "all closed-form distances for a problem")
     dist.add_argument("problem", type=Path)
 
-    coup = sub.add_parser("coupling", parents=[common], help="transport map, joint law, and cost")
+    coup = command("coupling", cmd_coupling, "transport map, joint law, and cost")
     coup.add_argument("problem", type=Path)
     coup.add_argument("--map", type=_map_kind, default="aw", help="w | kr | aw")
     coup.add_argument(
-        "--rho", type=_float_list, default=None,
+        "--rho", type=_comma_list(float, "number"), default=None,
         help="comma-separated correlations; default: the optimal sign rule",
     )
 
-    geo = sub.add_parser("geodesic", parents=[common], help="interpolation curve points")
+    geo = command("geodesic", cmd_geodesic, "interpolation curve points")
     geo.add_argument("problem", type=Path)
     geo.add_argument("--kind", type=_map_kind, default="aw", help="w | kr | aw")
     group = geo.add_mutually_exclusive_group(required=True)
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--frames", type=int, default=None)
     geo.add_argument("--figure", type=Path, default=None, help="also write a filmstrip SVG")
 
-    ver = sub.add_parser("verify", parents=[common], help="run the invariant/oracle check suite")
+    ver = command("verify", cmd_verify, "run the invariant/oracle check suite")
     ver.add_argument("problem", type=Path, nargs="?", default=None)
     ver.add_argument("--random", type=int, default=None, metavar="N",
                      help="verify N seeded random pairs instead of a problem file")
@@ -116,16 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--grid-m", type=int, default=100, help="oracle grid resolution")
     ver.add_argument("--mc-samples", type=int, default=100_000)
 
-    demo = sub.add_parser(
+    demo = command(
         "demo-incompleteness",
-        parents=[common],
-        help="table showing the adapted metric is incomplete on Gaussian laws",
+        cmd_demo_incompleteness,
+        "table showing the adapted metric is incomplete on Gaussian laws",
     )
     demo.add_argument("--theta", type=float, required=True)
     demo.add_argument("--theta-prime", type=float, required=True)
-    demo.add_argument("--n-list", type=_int_list, default=[10, 100, 1000])
+    demo.add_argument("--n-list", type=_comma_list(int, "integer", nonempty=True), default=[10, 100, 1000])
 
-    fig = sub.add_parser("figure", parents=[common], help="write an SVG figure plus CSV data sidecar")
+    fig = command("figure", cmd_figure, "write an SVG figure plus CSV data sidecar")
     fig.add_argument("problem", type=Path)
     fig.add_argument("--kind", choices=figures.FIGURE_KINDS, default=figures.CONTOUR_TRANSPORT)
     fig.add_argument("--map", type=_map_kind, default="aw", help="transport for contour figures")
@@ -321,35 +325,22 @@ def cmd_figure(args) -> tuple[dict, int]:
     return doc, 0
 
 
-_HANDLERS = {
-    "dist": cmd_dist,
-    "coupling": cmd_coupling,
-    "geodesic": cmd_geodesic,
-    "verify": cmd_verify,
-    "demo-incompleteness": cmd_demo_incompleteness,
-    "figure": cmd_figure,
-}
-
-
-def _human_lines(obj, indent=0):
+def _human_lines(doc, indent=0):
+    """One line per entry of a dict (``key: value``) or a list (``- value``);
+    a container that :func:`_one_line` cannot render nests one level deeper."""
     pad = "  " * indent
-    lines = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, (dict, list)) and value and not _is_inline(value):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_human_lines(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_human_scalar(value)}")
-    elif isinstance(obj, list):
-        for item in obj:
-            if isinstance(item, (dict, list)) and not _is_inline(item):
-                lines.append(f"{pad}-")
-                lines.extend(_human_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_human_scalar(item)}")
+    if isinstance(doc, dict):
+        entries = [(f"{key}:", value) for key, value in doc.items()]
     else:
-        lines.append(f"{pad}{_human_scalar(obj)}")
+        entries = [("-", item) for item in doc]
+    lines = []
+    for label, value in entries:
+        text = _one_line(value)
+        if text is None:
+            lines.append(f"{pad}{label}")
+            lines.extend(_human_lines(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {text}")
     return lines
 
 
@@ -357,20 +348,17 @@ def _is_number_list(value):
     return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
 
 
-def _is_inline(value):
-    """Vectors and matrices of numbers render on one line."""
-    return _is_number_list(value) or (
-        isinstance(value, list) and value and all(_is_number_list(v) for v in value)
-    )
-
-
-def _human_scalar(value):
+def _one_line(value):
+    """Scalars, number vectors and number matrices on one line, floats to 4
+    significant digits; ``None`` for any other nonempty dict or list."""
     if isinstance(value, float):
         return f"{value:.4g}"
     if _is_number_list(value):
-        return "[" + ", ".join(_human_scalar(v) for v in value) + "]"
-    if isinstance(value, list) and all(_is_number_list(v) for v in value):
-        return "[" + "; ".join(_human_scalar(v) for v in value) + "]"
+        return "[" + ", ".join(map(_one_line, value)) + "]"
+    if isinstance(value, list) and value and all(map(_is_number_list, value)):
+        return "[" + "; ".join(map(_one_line, value)) + "]"
+    if isinstance(value, (dict, list)) and value:
+        return None
     return str(value)
 
 
@@ -393,7 +381,7 @@ def emit(doc: dict, args) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc, code = _HANDLERS[args.command](args)
+        doc, code = args.handler(args)
         emit(doc, args)  # renders the whole document first: a refused one writes nothing
     except ProblemFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

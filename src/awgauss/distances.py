@@ -107,9 +107,9 @@ def _sign_rule(L: np.ndarray, M: np.ndarray):
 
 
 #: (weak L, weak M, {name: derived data}) of the last pair of read-only
-#: factors, the data being the sign triple ``"signs"`` and the ``"svd"`` of
-#: ``L^T M``, each filled on first use; one tuple, which another pair replaces
-#: by one assignment
+#: factors that own their data, the data being the sign triple ``"signs"``
+#: and the ``"svd"`` of ``L^T M``, each filled on first use; one tuple, which
+#: another pair replaces by one assignment
 _last_pair = (None, None, None)
 
 
@@ -117,15 +117,17 @@ def _derived(L: np.ndarray, M: np.ndarray, name: str, compute):
     """``compute(L, M)``, read from the last-pair record under ``name`` when
     ``L`` and ``M`` are the very factors it holds.
 
-    Only read-only factors (the laws' cached ones) are recorded: a writable
-    array could change under its key.  The record holds weak references, so it
-    keeps no factor, and no law, alive.  Threads on one pair may each fill a
-    missing entry; they compute the same bits.
+    Only read-only factors that own their data (the laws' cached ones) are
+    recorded: a writable array could change under its key, and a view (a
+    block of a law's factor) would replace the laws' record with keys that
+    die at once.  The record holds weak references, so it keeps no factor,
+    and no law, alive.  Threads on one pair may each fill a missing entry;
+    they compute the same bits.
     """
     global _last_pair
     ref_l, ref_m, data = _last_pair
     if ref_l is None or ref_l() is not L or ref_m() is not M:
-        if L.flags.writeable or M.flags.writeable:
+        if L.flags.writeable or M.flags.writeable or not (L.flags.owndata and M.flags.owndata):
             return compute(L, M)
         data = {}
         _last_pair = (weakref.ref(L), weakref.ref(M), data)

@@ -162,15 +162,6 @@ class _Canvas:
         return "\n".join(parts)
 
 
-def _write_rows(path: Path, rows: list[dict]):
-    fields = ["record", "label", "v0", "v1", "v2", "v3", "v4", "v5", "flag"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({f: row.get(f, "") for f in fields})
-
-
 def _row(record, label, *values, flag=""):
     vals = list(values) + [""] * (6 - len(values))
     return {
@@ -183,6 +174,18 @@ def _row(record, label, *values, flag=""):
 
 def data_path_for(svg_path) -> Path:
     return Path(svg_path).with_suffix(".csv")
+
+
+def _save(canvas: _Canvas, rows: list[dict], out_path) -> tuple[Path, Path]:
+    """Write the SVG to ``out_path`` and its CSV sidecar beside it; returns both paths."""
+    out_path, data_path = Path(out_path), data_path_for(out_path)
+    out_path.write_text(canvas.render())
+    fields = ["record", "label", "v0", "v1", "v2", "v3", "v4", "v5", "flag"]
+    with open(data_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+    return out_path, data_path
 
 
 def contour_transport_figure(
@@ -239,11 +242,7 @@ def contour_transport_figure(
         canvas.arrow(img_origin, img_tip, _COLORS["arrow_image"])
         rows.append(_row("arrow_image", f"e{i + 1}", *img_origin, *img_tip))
 
-    out_path = Path(out_path)
-    out_path.write_text(canvas.render())
-    data_path = data_path_for(out_path)
-    _write_rows(data_path, rows)
-    return out_path, data_path
+    return _save(canvas, rows, out_path)
 
 
 def filmstrip_figure(
@@ -287,8 +286,4 @@ def filmstrip_figure(
                     flag="degenerate" if point.degenerate else "",
                 )
             )
-    out_path = Path(out_path)
-    out_path.write_text(canvas.render())
-    data_path = data_path_for(out_path)
-    _write_rows(data_path, rows)
-    return out_path, data_path
+    return _save(canvas, rows, out_path)

@@ -230,7 +230,7 @@ def _refine(V: np.ndarray, rng, value) -> None:
     n, samples = V.shape[0], _ASSIGNMENT_SAMPLES
     if n == 1:
         V[0, 0] = min(V[0, 0], value(0, 0))
-    elif samples:
+    else:
         for i, j in zip(rng.integers(0, n, samples), rng.integers(0, n, samples)):
             V[i, j] = min(V[i, j], value(i, j))
 
@@ -280,7 +280,7 @@ def dpp_solve_discrete(
     check_same_dim(mu, nu)
     N = mu.dim
     m = int(points_per_dim)
-    if m < MIN_POINTS_PER_DIM and N <= 3:
+    if m < MIN_POINTS_PER_DIM:
         raise BadParameter(f"points_per_dim must be >= {MIN_POINTS_PER_DIM}, got {m}")
     if (too_large := _discrete_size_error(N, m)) is not None:
         raise TooLarge(too_large)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,3 +573,112 @@ class TestDeterminismAndFormats:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["aw2"] == pytest.approx(2.0)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestHumanFormatBytes:
+    """``--format human`` documents with nested lists and dicts, pinned byte for
+    byte against stored copies (output paths the document echoes read ``<tmp>``).
+
+    The problems are chosen so every printed value is exact or far from a
+    4-digit rounding boundary."""
+
+    def _human(self, capsys, tmp_path, argv):
+        code = main(["--format", "human", *argv])
+        assert code in (0, 1)
+        return capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("dist", ["dist", "{problem}"]),
+            ("coupling", ["coupling", "{problem}", "--map", "aw"]),
+            ("geodesic", ["geodesic", "{problem}", "--frames", "3", "--figure", "{tmp}/strip.svg"]),
+            (
+                "demo_incompleteness",
+                ["demo-incompleteness", "--theta", "1", "--theta-prime", "0.5", "--n-list", "10,100,1000"],
+            ),
+        ],
+    )
+    def test_document_bytes(self, tmp_path, capsys, name, argv):
+        path = _write(tmp_path, REFLECTED)
+        argv = [a.format(problem=path, tmp=tmp_path) for a in argv]
+        expected = (GOLDEN / f"{name}.txt").read_text()
+        assert self._human(capsys, tmp_path, argv) == expected
+
+    def test_verify_checks_and_failures_bytes(self, tmp_path, capsys, monkeypatch):
+        # the residuals of a real run are rounding noise that differs across
+        # LAPACK builds, so the suite's results are fixed here
+        results = [
+            verify.CheckResult("ordering_w2_le_aw2", 0, True, -0.9442719099991597, 1.2e-12),
+            verify.CheckResult("abw_symmetry", 0, True, 0.0, 3.4641016151377546e-13),
+            verify.CheckResult("oracle_dpp_agreement", 0, False, 2.1802539386497453, 0.25, "m=2"),
+            verify.CheckResult("abw_triangle_inequality", -1, True, 2.220446049250313e-16, 1e-09),
+        ]
+        monkeypatch.setattr(verify, "run_verification", lambda pairs, **kwargs: results)
+        out = self._human(capsys, tmp_path, ["verify", _write(tmp_path, REFLECTED), "--level", "full"])
+        assert out == (GOLDEN / "verify.txt").read_text()
+
+
+class TestListOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["coupling", "{problem}", "--rho", "1,a"], "argument --rho: expected comma-separated numbers: '1,a'"),
+            (
+                ["demo-incompleteness", "--theta", "1", "--theta-prime", "0.5", "--n-list", "10,x"],
+                "argument --n-list: expected comma-separated integers: '10,x'",
+            ),
+            (
+                ["demo-incompleteness", "--theta", "1", "--theta-prime", "0.5", "--n-list", "10,2.5"],
+                "argument --n-list: expected comma-separated integers: '10,2.5'",
+            ),
+        ],
+    )
+    def test_non_numeric_entry_is_usage_error(self, tmp_path, capsys, argv, message):
+        path = _write(tmp_path, REFLECTED)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(problem=path) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+class TestProblemFileRho:
+    def test_file_rho_is_used_without_the_option(self, tmp_path, capsys):
+        path = _write(tmp_path, {**REFLECTED, "rho": [1, 1]})
+        code, doc = _run(capsys, ["coupling", path])
+        assert code == 0
+        assert doc["rho_used"] == [1.0, 1.0]
+        assert doc["cost"] == pytest.approx(16.0, abs=1e-12)  # synchronous, not the sign rule's 4
+        assert doc["sign"]["rho"] == [-1.0, 1.0]
+
+    def test_option_overrides_the_file(self, tmp_path, capsys):
+        path = _write(tmp_path, {**REFLECTED, "rho": [1, 1]})
+        # "--rho -1,1" would read "-1,1" as an option string
+        code, doc = _run(capsys, ["coupling", path, "--rho=-1,1"])
+        assert code == 0
+        assert doc["rho_used"] == [-1.0, 1.0]
+        assert doc["cost"] == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["dist"], ["coupling"], ["geodesic", "--t", "0.5"], ["verify"], ["figure"]],
+    )
+    def test_wrong_length_is_dimension_mismatch(self, tmp_path, capsys, command):
+        path = _write(tmp_path, {**REFLECTED, "rho": [1, 1, 1]})
+        assert main(["--output", str(tmp_path / "out.svg"), command[0], path, *command[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "invariant violation (DimensionMismatch): rho has length 3, expected 2" in err
+        assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize("rho", [["a", 1], [[1, 1]]])
+    def test_malformed_rho_is_parse_error(self, tmp_path, capsys, rho):
+        path = _write(tmp_path, {**REFLECTED, "rho": rho})
+        assert main(["coupling", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse error: rho: expected" in captured.err

@@ -29,6 +29,7 @@ from awgauss import (
     optimal_sign,
     random_gaussian,
     random_spd,
+    value_function,
     wasserstein2,
     weighted_bicausal_value,
 )
@@ -295,6 +296,20 @@ class TestPairRecord:
         sign = optimal_sign(np.array(mu.chol), np.array(nu.chol))
         assert sign.rho.tobytes() == optimal_sign(mu.chol, nu.chol).rho.tobytes()
         assert distances._last_pair is record
+
+    def test_factor_blocks_leave_the_laws_record(self, monkeypatch):
+        # the value function's tail term reads read-only views of the laws'
+        # factors; a view is not recorded, so the laws' pair keeps its record
+        mu, nu = _random_pair(3, 30)
+        aw2(mu, nu)
+        value_function(mu, nu, 1, [0.5], [-0.25])
+        assert distances._last_pair[0]() is mu.chol
+        assert distances._last_pair[1]() is nu.chol
+        calls = []
+        original = distances._sign_rule
+        monkeypatch.setattr(distances, "_sign_rule", lambda L, M: calls.append(1) or original(L, M))
+        aw2(mu, nu)
+        assert calls == []
 
 
 class TestKrDistance:

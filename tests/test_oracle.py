@@ -344,9 +344,13 @@ class TestDiscreteSolver:
         mu3, nu3 = _random_pair(3, 10)
         with pytest.raises(TooLarge):
             dpp_solve_discrete(mu3, nu3, 200)
-        mu2, nu2 = _random_pair(2, 11)
-        with pytest.raises(BadParameter):
-            dpp_solve_discrete(mu2, nu2, 1)
+        # the node floor comes first at every horizon, the supported ones and
+        # the refused N = 4 alike
+        for dim, seed in ((1, 13), (2, 11), (3, 10), (4, 9)):
+            mu_d, nu_d = _random_pair(dim, seed)
+            for m in (1, 0, -2):
+                with pytest.raises(BadParameter, match="points_per_dim must be >= 2"):
+                    dpp_solve_discrete(mu_d, nu_d, m)
 
 
 class TestMonteCarlo:
