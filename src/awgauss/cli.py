@@ -100,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     coup.add_argument("--map", type=_map_kind, default="aw", help="w | kr | aw")
     coup.add_argument(
         "--rho", type=_comma_list(float, "number"), default=None,
-        help="comma-separated correlations; default: the optimal sign rule",
+        help=(
+            "comma-separated correlations, given as --rho=-1,1 when the list starts "
+            "with a minus; default: the optimal sign rule"
+        ),
     )
 
     geo = command("geodesic", cmd_geodesic, "interpolation curve points")

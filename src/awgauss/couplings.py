@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import (
-    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _pair_signs, _pair_svd, _same_factors,
-    as_weights,
+    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _derived, _mean_term, _pair_signs,
+    _pair_svd, _same_factors, as_weights,
 )
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
@@ -26,6 +26,9 @@ from .linalg import (
 
 def as_correlations(rho, *, dim: int | None = None) -> np.ndarray:
     """Validate a per-time correlation vector with entries in [-1, 1]."""
+    r = np.asarray(rho, dtype=float)
+    if r.ndim == 1 and (dim is None or r.shape[0] == dim) and (np.abs(r) <= 1.0).all():
+        return r  # one reduction: the range test also fails NaN and inf
     r = as_vector(rho, dim=dim, name="rho")
     if (np.abs(r) > 1.0).any():
         raise BadCorrelation("correlations must lie in [-1, 1]")
@@ -80,9 +83,14 @@ def optimal_sign(L, M, *, weights=None) -> SignSelection:
 
 
 def _sign_selection(L: np.ndarray, M: np.ndarray) -> SignSelection:
-    """:class:`SignSelection` of two factors already known to be valid."""
+    """:class:`SignSelection` of two factors already known to be valid, one per
+    pair record: :func:`optimal_sign` and :func:`aw_map` of a pair share it."""
+    return _derived(L, M, "selection", _select)
+
+
+def _select(L: np.ndarray, M: np.ndarray) -> SignSelection:
     d, rho, free = _pair_signs(L, M)
-    free_indices = tuple(int(i) + 1 for i in np.flatnonzero(free)) if free.any() else ()
+    free_indices = tuple(int(i) + 1 for i in free.nonzero()[0])
     return SignSelection(
         rho=rho, free_indices=free_indices, unique=not free_indices, diag=d
     )
@@ -156,8 +164,7 @@ def coupling_cost(mu: GaussianSpec, nu: GaussianSpec, rho) -> float:
 def _coupling_cost(mu: GaussianSpec, nu: GaussianSpec, R: np.ndarray):
     """:func:`coupling_cost` of each row of a validated ``(..., N)`` correlation stack."""
     d = _pair_signs(mu.chol, nu.chol)[0]
-    diff = mu.mean - nu.mean
-    return diff @ diff + mu.cov.trace() + nu.cov.trace() - 2.0 * (R @ d)
+    return _mean_term(mu, nu) + mu._cov_trace + nu._cov_trace - 2.0 * (R @ d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,7 +54,13 @@ def _report(mean_term: float, cov_term: float) -> DistanceReport:
 
 
 def _mean_term(mu: GaussianSpec, nu: GaussianSpec) -> float:
-    d = mu.mean - nu.mean
+    """``||a - b||^2``, once per pair through the record of the laws' factors:
+    a law's factor is its own, so the factors name the means too."""
+    return _derived(mu.chol, nu.chol, "mean", lambda L, M: _squared_distance(mu.mean, nu.mean))
+
+
+def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
+    d = a - b
     return float(d @ d)
 
 
@@ -98,7 +104,10 @@ def _sign_rule(L: np.ndarray, M: np.ndarray):
     shares them between the results of one pair.
     """
     d = (L * M).sum(axis=-2)
-    band = (FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M)))[..., None]
+    if d.ndim == 1:  # one pair: a Python float band
+        band = FREE_TOL * math.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
+    else:
+        band = (FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M)))[..., None]
     free = np.abs(d) <= band
     rho = np.where(d < -band, -1.0, 1.0)
     for x in (d, rho, free):
@@ -107,9 +116,11 @@ def _sign_rule(L: np.ndarray, M: np.ndarray):
 
 
 #: (weak L, weak M, {name: derived data}) of the last pair of read-only
-#: factors that own their data, the data being the sign triple ``"signs"``
-#: and the ``"svd"`` of ``L^T M``, each filled on first use; one tuple, which
-#: another pair replaces by one assignment
+#: factors that own their data, the data being the sign triple ``"signs"``,
+#: the ``"svd"`` of ``L^T M``, the adapted product ``"aw"``, the laws' mean
+#: term ``"mean"`` and the ``"selection"`` of
+#: :func:`~awgauss.couplings.optimal_sign`, each filled on first use; one
+#: tuple, which another pair replaces by one assignment
 _last_pair = (None, None, None)
 
 
@@ -146,6 +157,18 @@ def _pair_svd(L: np.ndarray, M: np.ndarray):
     return _derived(L, M, "svd", lambda L, M: np.linalg.svd(L.T @ M))
 
 
+def _adapted_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``M diag(rho)`` with ``rho`` from the sign rule, read-only, through the
+    pair record: AW2, the AW map and the AW curve of a pair read one array."""
+    return _derived(L, M, "aw", _signed_product)
+
+
+def _signed_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    P = M * _pair_signs(L, M)[1][..., None, :]
+    P.setflags(write=False)
+    return P
+
+
 def _same_factors(L: np.ndarray, M: np.ndarray) -> bool:
     # bitwise equality, last pivots first: distinct laws almost always differ there already
     return L is M or (L[-1, -1] == M[-1, -1] and np.array_equal(L, M))
@@ -174,7 +197,7 @@ ADAPTED = "adapted"
 _GEOMETRIES = {
     WASSERSTEIN: ("w", lambda L, M: _brenier_product(L, M), "brenier"),  # Q = V U^T
     KNOTHE_ROSENBLATT: ("kr", lambda L, M: M, "knothe_rosenblatt"),  # Q = I
-    ADAPTED: ("aw", lambda L, M: M * _pair_signs(L, M)[1][..., None, :], "adapted_wasserstein"),
+    ADAPTED: ("aw", lambda L, M: _adapted_product(L, M), "adapted_wasserstein"),
 }
 
 
@@ -271,6 +294,9 @@ def aw2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
 
 def as_weights(w, *, dim: int | None = None) -> np.ndarray:
     """Validate a strictly positive per-time weight vector."""
+    v = np.asarray(w, dtype=float)
+    if v.ndim == 1 and (dim is None or v.shape[0] == dim) and ((v > 0.0) & (v < math.inf)).all():
+        return v  # one reduction: the range test also fails NaN
     v = as_vector(w, dim=dim, name="weights")
     if (v <= 0.0).any():
         raise NonPositiveWeight("all cost weights must be strictly positive")
@@ -292,9 +318,12 @@ def weighted_bicausal_value(mu: GaussianSpec, nu: GaussianSpec, weights) -> floa
     w = as_weights(weights, dim=mu.dim)
     d = mu.mean - nu.mean
     # absorb the weights into the factors; the same cancellation-free
-    # sum-of-squares form as abw_distance then applies
+    # sum-of-squares form as abw_distance then applies.  The weighted factors
+    # are fresh arrays, so the sign rule runs on them directly, not through
+    # the pair record
     root_w = np.sqrt(w)[:, None]
-    return float(d @ (w * d)) + _cov_sq(ADAPTED, root_w * mu.chol, root_w * nu.chol)
+    L, M = root_w * mu.chol, root_w * nu.chol
+    return float(d @ (w * d)) + _frobenius_sq(L - M * _sign_rule(L, M)[1])
 
 
 def _check_angle(theta: float, name: str) -> float:

@@ -8,6 +8,8 @@ values can be shared freely across threads.  Sampling takes an explicit seed
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -26,6 +28,10 @@ SYM_TOL = 1e-12
 #: Cholesky pivots must exceed PD_TOL * max(diag A); relative so the gate is
 #: invariant under rescaling of the covariance
 PD_TOL = 1e-12
+#: smallest positive normal float, the floor of every relative scale
+_TINY = float(np.finfo(float).tiny)
+#: above this magnitude the sum of two entries can overflow
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def as_vector(x, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -42,8 +48,12 @@ def as_vector(x, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 def _raise_first(bad, error, message) -> None:
     """Raise ``error`` with ``message(idx)`` for the first matrix ``idx`` that
-    ``bad`` (the stack's leading shape; ``()`` for one matrix) flags."""
-    if np.any(bad):
+    ``bad`` flags: an array of the stack's leading shape, or one (numpy or
+    Python) bool for one matrix, whose index is ``()``."""
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise error(message(()))
+    elif bad.any():
         idx = tuple(np.argwhere(bad)[0])
         raise error(_stack_index(idx) + message(idx))
 
@@ -68,29 +78,38 @@ def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
 
     Asymmetry up to ``SYM_TOL`` relative to the largest entry is treated as
     float noise from upstream products and absorbed by averaging with the
-    transpose; anything larger raises :class:`NotSymmetric`.  Positive
-    definiteness is *not* checked here (see :func:`cholesky`).
+    transpose; anything larger raises :class:`NotSymmetric`.  Where the sum
+    of two mirrored entries would overflow, the average is taken from their
+    halves, exact at that scale.  Positive definiteness is *not* checked here
+    (see :func:`cholesky`).
     """
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     if M.shape[-1] < 1:
         raise DimensionMismatch(f"{name} must have dimension >= 1")
     # max|M| is NaN or inf exactly when some entry is, so the scale pass is
-    # also the finiteness gate; asym comes after it, as inf - inf would warn
-    scale = np.max(np.abs(M), axis=(-2, -1))
+    # also the finiteness gate; asym comes after it, as inf - inf would warn.
+    # One matrix gives numpy scalars, tested as Python floats.
+    one = M.ndim == 2
+    scale = np.abs(M).max(axis=(-2, -1))
     _raise_first(
-        ~np.isfinite(scale), NonFiniteValue, lambda idx: f"{name} contains non-finite entries"
+        not math.isfinite(scale) if one else ~np.isfinite(scale), NonFiniteValue,
+        lambda idx: f"{name} contains non-finite entries",
     )
     Mt = np.swapaxes(M, -1, -2)
-    asym = np.max(np.abs(M - Mt), axis=(-2, -1))
+    asym = np.abs(M - Mt).max(axis=(-2, -1))
     _raise_first(
-        asym > SYM_TOL * np.maximum(scale, np.finfo(float).tiny), NotSymmetric,
+        asym > SYM_TOL * (max(scale, _TINY) if one else np.maximum(scale, _TINY)), NotSymmetric,
         lambda idx: (
             f"{name} is not symmetric: max|A - A^T| = {asym[idx]:.3e} "
             f"exceeds {SYM_TOL:.0e} * max|A| = {SYM_TOL * scale[idx]:.3e}"
         ),
     )
-    return (M + Mt) / 2.0
+    if (scale if one else scale.max()) <= _HALF_MAX:
+        return (M + Mt) / 2.0
+    with np.errstate(over="ignore"):
+        S = (M + Mt) / 2.0
+    return np.where(np.isinf(S), M / 2.0 + Mt / 2.0, S)
 
 
 def cholesky(A) -> np.ndarray:
@@ -131,7 +150,7 @@ def cholesky(A) -> np.ndarray:
 
 def _factor(S: np.ndarray) -> np.ndarray:
     """The pivot-checked step of :func:`cholesky`, on an already gated stack."""
-    max_diag = np.max(np.diagonal(S, axis1=-2, axis2=-1), axis=-1)
+    max_diag = S.diagonal(0, -2, -1).max(axis=-1)
     _raise_first(
         max_diag <= 0.0, NotPositiveDefinite, lambda idx: "matrix has non-positive diagonal"
     )
@@ -149,7 +168,7 @@ def _factor(S: np.ndarray) -> np.ndarray:
 def _check_pivots(L: np.ndarray, max_diag) -> None:
     """The pivot gate of every law: each pivot ``L_tt^2`` of a factor stack must
     exceed ``PD_TOL * max_diag``, the largest diagonal entry of its ``L L^T``."""
-    min_pivot = np.min(np.diagonal(L, axis1=-2, axis2=-1) ** 2, axis=-1)
+    min_pivot = (L.diagonal(0, -2, -1) ** 2).min(axis=-1)
     _raise_first(
         min_pivot <= PD_TOL * max_diag, NotPositiveDefinite,
         lambda idx: (
@@ -161,7 +180,7 @@ def _check_pivots(L: np.ndarray, max_diag) -> None:
 
 def _degenerate(min_eig: float, cov: np.ndarray) -> bool:
     """Degeneracy of a PSD ``cov`` with least eigenvalue ``min_eig``, on the pivot gate's scale."""
-    return bool(min_eig <= PD_TOL * max(float(cov.diagonal().max()), np.finfo(float).tiny))
+    return bool(min_eig <= PD_TOL * max(float(cov.diagonal().max()), _TINY))
 
 
 @lru_cache(maxsize=64)
@@ -171,8 +190,31 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
+#: id -> the read-only factor of a law, which passed the factor gates when the
+#: law made it (the pivot gate of :func:`cholesky`, or
+#: :func:`as_cholesky_factor` in :meth:`GaussianSpec.from_cholesky`); weak, so
+#: it keeps no factor alive, and an entry leaves with its factor
+_GATED_FACTORS = weakref.WeakValueDictionary()
+
+
+def _gated(L: np.ndarray) -> np.ndarray:
+    """Make a law's checked factor read-only and record it as gated."""
+    L.setflags(write=False)
+    _GATED_FACTORS[id(L)] = L
+    return L
+
+
 def as_cholesky_factor(L, *, name: str = "cholesky factor") -> np.ndarray:
-    """Validate a user-supplied lower-triangular factor with positive diagonal."""
+    """Validate a user-supplied lower-triangular factor with positive diagonal.
+
+    A law's own factor (``GaussianSpec.chol``) passed these gates when the law
+    made it, so while it is read-only it is returned at once, without a second
+    scan; any other array, a law's factor made writable included, runs every
+    gate, with the same messages.  A caller that makes a law's factor writable
+    and read-only again has changed what the law's caches rest on.
+    """
+    if _GATED_FACTORS.get(id(L)) is L and not L.flags.writeable:
+        return L
     M = np.asarray(L, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
@@ -221,16 +263,19 @@ class GaussianSpec:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     @cached_property
     def chol(self) -> np.ndarray:
         """Lower-triangular Cholesky factor of the covariance (cached)."""
-        L = _factor(self.cov)  # cov is gated and symmetrized on construction
-        L.setflags(write=False)
-        return L
+        return _gated(_factor(self.cov))  # cov is gated and symmetrized on construction
+
+    @cached_property
+    def _cov_trace(self):
+        """``Tr cov``, which every coupling cost of the law reads (cached)."""
+        return self.cov.trace()
 
     @classmethod
     def from_cholesky(cls, mean, factor) -> "GaussianSpec":
@@ -242,10 +287,8 @@ class GaussianSpec:
         """
         L = as_cholesky_factor(factor)
         spec = cls(mean, L @ L.T)
-        _check_pivots(L, np.max(np.diagonal(spec.cov)))
-        L = np.tril(L)
-        L.setflags(write=False)
-        spec.__dict__["chol"] = L
+        _check_pivots(L, spec.cov.diagonal().max())
+        spec.__dict__["chol"] = _gated(np.tril(L))
         return spec
 
 

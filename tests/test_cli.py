@@ -647,6 +647,22 @@ class TestListOptions:
         assert message in captured.err
 
 
+    def test_leading_minus_takes_the_equals_form(self, tmp_path, capsys):
+        path = _write(tmp_path, REFLECTED)
+        code, doc = _run(capsys, ["coupling", path, "--rho=-1,1"])
+        assert code == 0
+        assert doc["rho_used"] == [-1.0, 1.0]
+        assert doc["cost"] == pytest.approx(4.0, abs=1e-12)
+        # written apart, argparse reads "-1,1" as an option string; the help says so
+        with pytest.raises(SystemExit) as exc:
+            main(["coupling", path, "--rho", "-1,1"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["coupling", "--help"])
+        assert "--rho=-1,1" in " ".join(capsys.readouterr().out.split())
+
+
 class TestProblemFileRho:
     def test_file_rho_is_used_without_the_option(self, tmp_path, capsys):
         path = _write(tmp_path, {**REFLECTED, "rho": [1, 1]})

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import sys
@@ -310,6 +311,73 @@ class TestPairRecord:
         monkeypatch.setattr(distances, "_sign_rule", lambda L, M: calls.append(1) or original(L, M))
         aw2(mu, nu)
         assert calls == []
+
+
+def _as_bytes(x):
+    """Every bit of a result: arrays by their bytes, floats by their hex form."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _as_bytes(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, float):
+        return float(x).hex()
+    return repr(x)
+
+
+def _fresh(law):
+    """A law with every bit of ``law`` in arrays of its own; its factor is
+    set, not recomputed, as a law built from a factor keeps that factor."""
+    copy = GaussianSpec(law.mean, law.cov)
+    chol = np.array(law.chol)
+    chol.setflags(write=False)
+    copy.__dict__["chol"] = chol
+    return copy
+
+
+def _pair_op(pair, factors, w):
+    """The eight closed forms of a benchmark pair op, each on the laws
+    ``pair()`` returns; ``factors`` gives what ``optimal_sign`` reads."""
+    sign = optimal_sign(*factors(*pair()))
+    outputs = (
+        aw2(*pair()), kr2(*pair()), wasserstein2(*pair()), weighted_bicausal_value(*pair(), w),
+        sign, aw_map(*pair()), coupling_cost(*pair(), sign.rho), geodesic_point(*pair(), 0.5, "adapted"),
+    )
+    return [_as_bytes(out) for out in outputs]
+
+
+class TestFastPathsAreBitwise:
+    """A pair op on the laws' gated factors, through the pair record, gives
+    the bits of the same calls made on fresh copies: fresh laws for every
+    call (so the record never hits) and writable factors for the sign rule
+    (so the factor gate scans them in full)."""
+
+    @staticmethod
+    def _check(mu, nu, w):
+        recorded = _pair_op(lambda: (mu, nu), lambda *laws: (law.chol for law in laws), w)
+        fresh = _pair_op(
+            lambda: (_fresh(mu), _fresh(nu)), lambda *laws: (np.array(law.chol) for law in laws), w
+        )
+        assert recorded == fresh
+        assert _pair_op(lambda: (mu, nu), lambda *laws: (law.chol for law in laws), w) == fresh
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_random_pairs(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        for mu, nu in _spec_pairs(dim, 95 + dim, count=3):
+            self._check(mu, nu, rng.uniform(0.5, 2.0, dim))
+
+    def test_exact_tie_with_integer_factors(self, tied_pair):
+        mu, nu = tied_pair
+        assert optimal_sign(mu.chol, nu.chol).free_indices == (1,)
+        self._check(mu, nu, np.array([0.5, 2.0]))
+
+    def test_aw_map_sign_is_the_sign_selection(self):
+        mu, nu = _random_pair(4, 31)
+        sign = optimal_sign(mu.chol, nu.chol)
+        assert _as_bytes(aw_map(mu, nu).sign) == _as_bytes(sign)
+        assert aw_map(mu, nu).sign is sign  # one SignSelection per pair record
+        fresh = optimal_sign(np.array(mu.chol), np.array(nu.chol))
+        assert _as_bytes(aw_map(mu, nu).sign) == _as_bytes(fresh)
 
 
 class TestKrDistance:

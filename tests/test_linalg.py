@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -178,6 +180,99 @@ class TestFactorValidation:
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(NotPositiveDefinite):
             as_cholesky_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+class TestSymmetrizationAtTheFloatLimit:
+    """Symmetrization never overflows: a finite entry above half the largest
+    float keeps its value (pytest turns numpy's overflow warning into an
+    error, so these fail loudly when the average is taken as (A + A^T) / 2)."""
+
+    BIG = np.array([[1.7e308, 0.5e308], [0.5e308 * (1.0 + 1e-14), 1.7e308]])
+
+    def test_one_matrix(self):
+        np.testing.assert_array_equal(cholesky([[1e308, 0.0], [0.0, 1e308]]), 1e154 * np.eye(2))
+        S = linalg._symmetrized(self.BIG, "matrix")
+        assert S[0, 0] == S[1, 1] == 1.7e308
+        assert S[0, 1] == S[1, 0] == self.BIG[0, 1] / 2.0 + self.BIG[1, 0] / 2.0
+        assert np.isfinite(cholesky(self.BIG)).all()
+
+    def test_stack(self):
+        small = random_spd(2, np.random.default_rng(4))
+        S = linalg._symmetrized(np.stack([small, self.BIG]), "matrix")
+        for k, A in enumerate((small, self.BIG)):
+            assert S[k].tobytes() == linalg._symmetrized(A, "matrix").tobytes()
+        np.testing.assert_array_equal(cholesky(np.stack([small, self.BIG]))[1], cholesky(self.BIG))
+
+    def test_law(self):
+        mu = GaussianSpec(np.zeros(1), [[1.7e308]])
+        assert mu.cov[0, 0] == 1.7e308
+        assert mu.chol[0, 0] == np.sqrt(1.7e308)
+
+    def test_below_the_limit_is_the_plain_average(self):
+        A = random_spd(5, np.random.default_rng(6), (3,))
+        A[1, 0, 2] += 1e-13  # asymmetry within the tolerance, so it is averaged
+        S = linalg._symmetrized(A, "matrix")
+        assert S.tobytes() == ((A + np.swapaxes(A, -1, -2)) / 2.0).tobytes()
+        assert linalg._symmetrized(A[1], "matrix").tobytes() == S[1].tobytes()
+
+
+class TestGatedFactors:
+    """A law's read-only factor passes the factor gate at once; the same
+    array made writable is scanned like any other."""
+
+    def test_law_factor_is_returned_without_a_scan(self, monkeypatch):
+        mu = GaussianSpec(np.zeros(3), random_spd(3, np.random.default_rng(1)))
+        nu = GaussianSpec.from_cholesky(np.zeros(2), [[1.0, 0.0], [0.5, 2.0]])
+        scans = []
+        upper = linalg._strict_upper
+        monkeypatch.setattr(linalg, "_strict_upper", lambda n: scans.append(n) or upper(n))
+        for law in (mu, nu):
+            assert as_cholesky_factor(law.chol) is law.chol
+        assert scans == []
+        fresh = np.array(mu.chol)
+        assert as_cholesky_factor(fresh) is fresh
+        assert scans == [3]
+
+    def test_threads_making_and_dropping_laws(self):
+        # more threads than cores, switching often: entries come and go while
+        # others look theirs up, and every law's factor is still found
+        covs = random_spd(3, np.random.default_rng(5), (4,))
+        start = threading.Barrier(len(covs))
+        misses = []
+
+        def run(cov):
+            start.wait()
+            for _ in range(200):
+                L = GaussianSpec(np.zeros(3), cov).chol
+                if as_cholesky_factor(L) is not L or L.flags.writeable:
+                    misses.append(1)
+
+        threads = [threading.Thread(target=run, args=(cov,)) for cov in covs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert misses == []
+
+    @pytest.mark.parametrize(
+        "where, value, error",
+        [((0, 1), 0.5, NotSymmetric), ((2, 0), np.nan, NonFiniteValue), ((1, 1), -1.0, NotPositiveDefinite)],
+    )
+    def test_corrupted_factor_raises_as_a_fresh_array(self, where, value, error):
+        L = GaussianSpec(np.zeros(3), random_spd(3, np.random.default_rng(2))).chol
+        L.setflags(write=True)
+        L[where] = value
+        with pytest.raises(error) as fresh:
+            as_cholesky_factor(np.array(L))
+        with pytest.raises(error) as registered:
+            as_cholesky_factor(L)
+        assert str(registered.value) == str(fresh.value)
 
 
 class TestOneGatePerMatrix:
