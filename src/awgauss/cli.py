@@ -22,7 +22,7 @@ import numpy as np
 
 from . import figures, geodesics, verify
 from .couplings import _sign_selection, _transport, coupling_cost, coupling_pi_p
-from .distances import _GEOMETRIES, aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
+from .distances import _GEOMETRIES, _derived, aw2, incompleteness_limit, incompleteness_member, kr2, wasserstein2
 from .errors import AwGaussError, NonFiniteValue
 from .problems import ProblemFormatError, load_problem, problem_echo
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_dist(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
-    sign = _sign_selection(mu.chol, nu.chol)
+    sign = _derived(mu.chol, nu.chol, _sign_selection)
     w2, k2, a2 = wasserstein2(mu, nu), kr2(mu, nu), aw2(mu, nu)
     doc = {
         "command": "dist",
@@ -169,7 +169,7 @@ def cmd_coupling(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     mu, nu = problem.mu, problem.nu
     transport = _transport(mu, nu, args.map)
-    sign = _sign_selection(mu.chol, nu.chol)
+    sign = _derived(mu.chol, nu.chol, _sign_selection)
     rho = args.rho if args.rho is not None else problem.rho
     rho_used = np.asarray(rho, dtype=float) if rho is not None else sign.rho
     joint = coupling_pi_p(mu, nu, rho_used)

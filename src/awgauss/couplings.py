@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import (
-    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _derived, _mean_term, _pair_signs,
-    _pair_svd, _same_factors, as_weights,
+    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _cross_svd, _derived, _same_factors,
+    _sign_rule, _squared_distance, _weighted, as_weights,
 )
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
 from .linalg import (
@@ -77,19 +77,14 @@ def optimal_sign(L, M, *, weights=None) -> SignSelection:
     if L.shape != M.shape:
         raise DimensionMismatch(f"factor shapes differ: {L.shape} vs {M.shape}")
     if weights is not None:
-        root_w = np.sqrt(as_weights(weights, dim=L.shape[0]))[:, None]
-        L, M = root_w * L, root_w * M
-    return _sign_selection(L, M)
+        L, M = _weighted(as_weights(weights, dim=L.shape[0]), L, M)
+    return _derived(L, M, _sign_selection)
 
 
 def _sign_selection(L: np.ndarray, M: np.ndarray) -> SignSelection:
-    """:class:`SignSelection` of two factors already known to be valid, one per
-    pair record: :func:`optimal_sign` and :func:`aw_map` of a pair share it."""
-    return _derived(L, M, "selection", _select)
-
-
-def _select(L: np.ndarray, M: np.ndarray) -> SignSelection:
-    d, rho, free = _pair_signs(L, M)
+    """:class:`SignSelection` of two factors already known to be valid:
+    :func:`optimal_sign` and :func:`aw_map` of a pair share one."""
+    d, rho, free = _derived(L, M, _sign_rule)
     free_indices = tuple(int(i) + 1 for i in free.nonzero()[0])
     return SignSelection(
         rho=rho, free_indices=free_indices, unique=not free_indices, diag=d
@@ -136,7 +131,8 @@ def coupling_pi_p(mu: GaussianSpec, nu: GaussianSpec, rho) -> JointGaussianCoupl
     across times.
     """
     check_same_dim(mu, nu)
-    r = as_correlations(rho, dim=mu.dim)
+    r = np.array(as_correlations(rho, dim=mu.dim))  # not the caller's array
+    r.setflags(write=False)
     L, M = mu.chol, nu.chol
     cross = (L * r[None, :]) @ M.T
     # exactly symmetric: both laws store (S + S^T) / 2, and cross.T is exact
@@ -163,8 +159,8 @@ def coupling_cost(mu: GaussianSpec, nu: GaussianSpec, rho) -> float:
 
 def _coupling_cost(mu: GaussianSpec, nu: GaussianSpec, R: np.ndarray):
     """:func:`coupling_cost` of each row of a validated ``(..., N)`` correlation stack."""
-    d = _pair_signs(mu.chol, nu.chol)[0]
-    return _mean_term(mu, nu) + mu._cov_trace + nu._cov_trace - 2.0 * (R @ d)
+    d = _derived(mu.chol, nu.chol, _sign_rule)[0]
+    return _squared_distance(mu.mean, nu.mean) + mu._cov_trace + nu._cov_trace - 2.0 * (R @ d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +194,7 @@ def _transport(mu: GaussianSpec, nu: GaussianSpec, kind: str) -> AffineTransport
     elif _same_factors(L, M):
         T = np.eye(mu.dim)  # Q = I, as in W2's product: exactly the identity
     else:
-        _, S, Vt = _pair_svd(L, M)
+        _, S, Vt = _derived(L, M, _cross_svd)
         G = (M @ Vt.T) / np.sqrt(S)
         # exactly symmetric: numpy takes an array times its own transpose by syrk
         T = G @ G.T
@@ -263,7 +259,7 @@ def aw_map(mu: GaussianSpec, nu: GaussianSpec) -> AdaptedMapResult:
     bicausal coupling, and is the unique one iff no diagonal entry of
     ``L^T M`` vanishes.
     """
-    return AdaptedMapResult(map=_transport(mu, nu, ADAPTED), sign=_sign_selection(mu.chol, nu.chol))
+    return AdaptedMapResult(map=_transport(mu, nu, ADAPTED), sign=_derived(mu.chol, nu.chol, _sign_selection))
 
 
 def condition_coupling(

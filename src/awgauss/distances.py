@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadAngle, BadParameter, DimensionMismatch, NonPositiveWeight
-from .linalg import GaussianSpec, as_vector, check_same_dim, cholesky
+from .linalg import GaussianSpec, _is_law_factor, as_vector, check_same_dim, cholesky
 
 #: |diag(L^T M)_t| at or below FREE_TOL * ||L||_F * ||M||_F counts as zero,
 #: i.e. the correlation at time t is a free (non-unique) direction
@@ -51,12 +51,6 @@ def _report(mean_term: float, cov_term: float) -> DistanceReport:
     return DistanceReport(
         squared_value=sq, value=math.sqrt(sq), mean_term=mean_term, cov_term=cov_term
     )
-
-
-def _mean_term(mu: GaussianSpec, nu: GaussianSpec) -> float:
-    """``||a - b||^2``, once per pair through the record of the laws' factors:
-    a law's factor is its own, so the factors name the means too."""
-    return _derived(mu.chol, nu.chol, "mean", lambda L, M: _squared_distance(mu.mean, nu.mean))
 
 
 def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -104,10 +98,12 @@ def _sign_rule(L: np.ndarray, M: np.ndarray):
     shares them between the results of one pair.
     """
     d = (L * M).sum(axis=-2)
+    # each norm apart: the product of the squared norms overflows from
+    # covariances of about 1e154 on
     if d.ndim == 1:  # one pair: a Python float band
-        band = FREE_TOL * math.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
+        band = FREE_TOL * math.sqrt(_frobenius_sq(L)) * math.sqrt(_frobenius_sq(M))
     else:
-        band = (FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M)))[..., None]
+        band = (FREE_TOL * np.sqrt(_frobenius_sq(L)) * np.sqrt(_frobenius_sq(M)))[..., None]
     free = np.abs(d) <= band
     rho = np.where(d < -band, -1.0, 1.0)
     for x in (d, rho, free):
@@ -115,56 +111,43 @@ def _sign_rule(L: np.ndarray, M: np.ndarray):
     return d, rho, free
 
 
-#: (weak L, weak M, {name: derived data}) of the last pair of read-only
-#: factors that own their data, the data being the sign triple ``"signs"``,
-#: the ``"svd"`` of ``L^T M``, the adapted product ``"aw"``, the laws' mean
-#: term ``"mean"`` and the ``"selection"`` of
-#: :func:`~awgauss.couplings.optimal_sign`, each filled on first use; one
-#: tuple, which another pair replaces by one assignment
+#: (weak L, weak M, {compute: compute(L, M)}) of the last pair of laws'
+#: factors, filled on first use; another pair replaces it in one assignment
 _last_pair = (None, None, None)
 
 
-def _derived(L: np.ndarray, M: np.ndarray, name: str, compute):
-    """``compute(L, M)``, read from the last-pair record under ``name`` when
-    ``L`` and ``M`` are the very factors it holds.
+def _derived(L: np.ndarray, M: np.ndarray, compute):
+    """``compute(L, M)``, read from the last-pair record when ``L`` and ``M``
+    are the very factors it holds.
 
-    Only read-only factors that own their data (the laws' cached ones) are
-    recorded: a writable array could change under its key, and a view (a
-    block of a law's factor) would replace the laws' record with keys that
-    die at once.  The record holds weak references, so it keeps no factor,
-    and no law, alive.  Threads on one pair may each fill a missing entry;
-    they compute the same bits.
+    Only laws' factors are recorded, by the rule that lets them skip the
+    factor gate (:func:`~awgauss.linalg._is_law_factor`): any other array (a
+    writable one, a read-only copy, a block of a law's factor) is computed
+    afresh and leaves the laws' record in place.  The record holds weak
+    references, so it keeps no factor, and no law, alive.  Threads on one
+    pair may each fill a missing entry; they compute the same bits.
     """
     global _last_pair
     ref_l, ref_m, data = _last_pair
     if ref_l is None or ref_l() is not L or ref_m() is not M:
-        if L.flags.writeable or M.flags.writeable or not (L.flags.owndata and M.flags.owndata):
+        if not (_is_law_factor(L) and _is_law_factor(M)):
             return compute(L, M)
         data = {}
         _last_pair = (weakref.ref(L), weakref.ref(M), data)
-    if name not in data:
-        data[name] = compute(L, M)
-    return data[name]
+    if compute not in data:
+        data[compute] = compute(L, M)
+    return data[compute]
 
 
-def _pair_signs(L: np.ndarray, M: np.ndarray):
-    """:func:`_sign_rule` of a factor pair, through the pair record."""
-    return _derived(L, M, "signs", _sign_rule)
-
-
-def _pair_svd(L: np.ndarray, M: np.ndarray):
-    """``np.linalg.svd(L.T @ M)`` as ``(U, S, Vt)``, through the pair record."""
-    return _derived(L, M, "svd", lambda L, M: np.linalg.svd(L.T @ M))
-
-
-def _adapted_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``M diag(rho)`` with ``rho`` from the sign rule, read-only, through the
-    pair record: AW2, the AW map and the AW curve of a pair read one array."""
-    return _derived(L, M, "aw", _signed_product)
+def _cross_svd(L: np.ndarray, M: np.ndarray):
+    """The SVD ``(U, S, Vt)`` of ``L^T M``: W2, the Brenier map and the W curve read one."""
+    return np.linalg.svd(L.T @ M)
 
 
 def _signed_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    P = M * _pair_signs(L, M)[1][..., None, :]
+    """``M diag(rho)`` with ``rho`` from the sign rule, read-only: AW2, the AW
+    map and the AW curve of a pair read one array."""
+    P = M * _derived(L, M, _sign_rule)[1][..., None, :]
     P.setflags(write=False)
     return P
 
@@ -183,7 +166,7 @@ def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
     """
     if _same_factors(L, M):
         return M
-    U, _, Vt = _pair_svd(L, M)
+    U, _, Vt = _derived(L, M, _cross_svd)
     return M @ (Vt.T @ U.T)
 
 
@@ -197,7 +180,7 @@ ADAPTED = "adapted"
 _GEOMETRIES = {
     WASSERSTEIN: ("w", lambda L, M: _brenier_product(L, M), "brenier"),  # Q = V U^T
     KNOTHE_ROSENBLATT: ("kr", lambda L, M: M, "knothe_rosenblatt"),  # Q = I
-    ADAPTED: ("aw", lambda L, M: _adapted_product(L, M), "adapted_wasserstein"),
+    ADAPTED: ("aw", lambda L, M: _derived(L, M, _signed_product), "adapted_wasserstein"),
 }
 
 
@@ -213,7 +196,7 @@ def _cov_sq(kind: str, L: np.ndarray, M: np.ndarray):
 def _process(mu: GaussianSpec, nu: GaussianSpec, kind: str) -> DistanceReport:
     """Mean/covariance split of the process distance of ``kind``, on the cached factors."""
     check_same_dim(mu, nu)
-    return _report(_mean_term(mu, nu), _cov_sq(kind, mu.chol, nu.chol))
+    return _report(_squared_distance(mu.mean, nu.mean), _cov_sq(kind, mu.chol, nu.chol))
 
 
 def bures_wasserstein(A, B) -> float:
@@ -317,13 +300,14 @@ def weighted_bicausal_value(mu: GaussianSpec, nu: GaussianSpec, weights) -> floa
     check_same_dim(mu, nu)
     w = as_weights(weights, dim=mu.dim)
     d = mu.mean - nu.mean
-    # absorb the weights into the factors; the same cancellation-free
-    # sum-of-squares form as abw_distance then applies.  The weighted factors
-    # are fresh arrays, so the sign rule runs on them directly, not through
-    # the pair record
+    return float(d @ (w * d)) + _cov_sq(ADAPTED, *_weighted(w, mu.chol, nu.chol))
+
+
+def _weighted(w: np.ndarray, L: np.ndarray, M: np.ndarray):
+    """The factors ``W^{1/2} L``, ``W^{1/2} M`` that absorb validated weights
+    ``w``: the plain sign rule and AW cost on them are the weighted ones."""
     root_w = np.sqrt(w)[:, None]
-    L, M = root_w * mu.chol, root_w * nu.chol
-    return float(d @ (w * d)) + _frobenius_sq(L - M * _sign_rule(L, M)[1])
+    return root_w * L, root_w * M
 
 
 def _check_angle(theta: float, name: str) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import (  # the kinds are re-exported
-    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _frobenius_sq, _mean_term, _process,
+    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _frobenius_sq, _process, _squared_distance,
 )
 from .errors import BadParameter
 from .linalg import GaussianSpec, _degenerate, check_same_dim
@@ -132,7 +132,8 @@ def geodesic_check(
     status, lhs, rhs, diff = SKIPPED, None, None, None
     if not (ps.degenerate or pt.degenerate):
         # the endpoint distance from the product the points were built from
-        rhs = abs(ps.t - pt.t) * math.sqrt(_mean_term(mu0, mu1) + _frobenius_sq(mu0.chol - MQ))
+        mean_term = _squared_distance(mu0.mean, mu1.mean)
+        rhs = abs(ps.t - pt.t) * math.sqrt(mean_term + _frobenius_sq(mu0.chol - MQ))
         lhs = _process(_law(mu0, mu1, ps), _law(mu0, mu1, pt), kind).value
         status, diff = OK, abs(lhs - rhs)
     return GeodesicCheckReport(

@@ -190,10 +190,8 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
-#: id -> the read-only factor of a law, which passed the factor gates when the
-#: law made it (the pivot gate of :func:`cholesky`, or
-#: :func:`as_cholesky_factor` in :meth:`GaussianSpec.from_cholesky`); weak, so
-#: it keeps no factor alive, and an entry leaves with its factor
+#: id -> the factor of a law, which passed the factor gates when the law made
+#: it; weak, so it keeps no factor alive
 _GATED_FACTORS = weakref.WeakValueDictionary()
 
 
@@ -204,18 +202,22 @@ def _gated(L: np.ndarray) -> np.ndarray:
     return L
 
 
+def _is_law_factor(L: np.ndarray) -> bool:
+    """A law's own factor (``GaussianSpec.chol``), read-only since the law gated it; one
+    made writable and read-only again has changed what the law's caches rest on."""
+    return not L.flags.writeable and _GATED_FACTORS.get(id(L)) is L
+
+
 def as_cholesky_factor(L, *, name: str = "cholesky factor") -> np.ndarray:
     """Validate a user-supplied lower-triangular factor with positive diagonal.
 
-    A law's own factor (``GaussianSpec.chol``) passed these gates when the law
-    made it, so while it is read-only it is returned at once, without a second
-    scan; any other array, a law's factor made writable included, runs every
-    gate, with the same messages.  A caller that makes a law's factor writable
-    and read-only again has changed what the law's caches rest on.
+    A law's factor (:func:`_is_law_factor`) is returned at once; any other
+    array, a law's factor made writable or a copy of one included, runs every
+    gate, with the same messages.
     """
-    if _GATED_FACTORS.get(id(L)) is L and not L.flags.writeable:
-        return L
     M = np.asarray(L, dtype=float)
+    if _is_law_factor(M):
+        return M
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -286,7 +288,11 @@ class GaussianSpec:
         refactorization noise is introduced downstream.
         """
         L = as_cholesky_factor(factor)
-        spec = cls(mean, L @ L.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite factor: only L L^T can overflow
+            cov = L @ L.T
+        if not np.isfinite(cov).all():
+            raise NonFiniteValue("cholesky factor is too large: L L^T overflows")
+        spec = cls(mean, cov)
         _check_pivots(L, spec.cov.diagonal().max())
         spec.__dict__["chol"] = _gated(np.tril(L))
         return spec

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .couplings import _coupling_cost, _sign_selection, aw_map, brenier_map, coupling_cost, kr_map
-from .distances import ADAPTED, _cov_sq, _frobenius_sq, aw2, kr2, wasserstein2
+from .distances import ADAPTED, _cov_sq, _derived, _frobenius_sq, aw2, kr2, wasserstein2
 from .errors import BadParameter, NonFiniteValue
 from .linalg import GaussianSpec, cholesky, random_gaussian, random_spd
 
@@ -70,7 +70,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
 
     # adapted vs synchronous covariance identity through the factor diagonal
     L, M = mu.chol, nu.chol
-    sign = _sign_selection(L, M)
+    sign = _derived(L, M, _sign_selection)
     diag = sign.diag
     neg = float(np.sum(np.abs(diag[diag < 0.0])))
     # square roots as in abw_distance/kr_distance, so observed values match them

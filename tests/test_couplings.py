@@ -174,6 +174,13 @@ class TestCouplingPiP:
         with pytest.raises(BadCorrelation):
             coupling_pi_p(*reflected_pair, [1.5, 0.0])
 
+    def test_keeps_a_read_only_copy_of_rho(self, reflected_pair):
+        rho = np.array([-1.0, 1.0])
+        joint = coupling_pi_p(*reflected_pair, rho)
+        assert joint.rho is not rho and not joint.rho.flags.writeable
+        rho[0] = 0.25
+        np.testing.assert_array_equal(joint.rho, [-1.0, 1.0])
+
     def test_joint_is_psd_and_definite_iff_correlations_interior(self):
         mu, nu = _random_pair(3, 55)
         interior = coupling_pi_p(mu, nu, [0.5, -0.3, 0.9])

@@ -12,6 +12,7 @@ from awgauss import (
     BadAngle,
     DimensionMismatch,
     GaussianSpec,
+    NonFiniteValue,
     NonPositiveWeight,
     NotPositiveDefinite,
     abw_distance,
@@ -298,6 +299,24 @@ class TestPairRecord:
         assert sign.rho.tobytes() == optimal_sign(mu.chol, nu.chol).rho.tobytes()
         assert distances._last_pair is record
 
+    def test_read_only_copies_are_scanned_and_not_recorded(self):
+        # a read-only copy that owns its data is not a law's factor: the
+        # factor gate scans it and the record is left to the laws' pair
+        mu, nu = _random_pair(3, 32)
+        aw2(mu, nu)
+        record = distances._last_pair
+        L, M = np.array(mu.chol), np.array(nu.chol)
+        for F in (L, M):
+            F.setflags(write=False)
+        assert L.flags.owndata and M.flags.owndata
+        assert _as_bytes(optimal_sign(L, M)) == _as_bytes(optimal_sign(mu.chol, nu.chol))
+        assert distances._last_pair is record
+        bad = np.array(mu.chol)
+        bad[2, 0] = np.nan
+        bad.setflags(write=False)
+        with pytest.raises(NonFiniteValue):
+            optimal_sign(bad, M)
+
     def test_factor_blocks_leave_the_laws_record(self, monkeypatch):
         # the value function's tail term reads read-only views of the laws'
         # factors; a view is not recorded, so the laws' pair keeps its record
@@ -453,6 +472,16 @@ class TestAbwDistance:
         assert value == float(residual @ residual)
         assert _rel(value, coupling_cost(mu, nu, sign.rho)) <= 1e-15
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
+    def test_tie_band_far_from_unit_scale(self, reflected_pair, scale):
+        # the product of the squared factor norms overflows from covariances
+        # of about 1e154 on; a band of inf would free every index (AW2 = KR2)
+        mu, nu = (GaussianSpec(law.mean, law.cov * scale) for law in reflected_pair)
+        assert aw2(mu, nu).value / math.sqrt(scale) == pytest.approx(2.0, rel=1e-12)
+        assert optimal_sign(mu.chol, nu.chol).free_indices == ()
+        free = _sign_rule(np.stack([mu.chol, nu.chol]), np.stack([nu.chol, mu.chol]))[2]
+        assert free.tolist() == [[False, False], [False, False]]
+
     def test_symmetry_and_positivity(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -489,22 +518,26 @@ class TestStackedSignRule:
             assert free[3].tolist() == [True, False] and values[3] == 4.0
 
 
+def _band(L, M, tol=None):
+    """The tie band of :func:`_sign_rule`, ``tol * ||L||_F * ||M||_F`` in its order."""
+    tol = distances.FREE_TOL if tol is None else tol
+    return tol * np.sqrt(_frobenius_sq(L)) * np.sqrt(_frobenius_sq(M))
+
+
 def _old_sign_rule_rho(L, M):
     """The sign rule written as ``free | d > 0``, on the band of :func:`_sign_rule`."""
     d = np.sum(L * M, axis=-2)
-    band = distances.FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
-    free = np.abs(d) <= band[..., None]
+    free = np.abs(d) <= _band(L, M)[..., None]
     return np.where(free | (d > 0.0), 1.0, -1.0)
 
 
 def _free_tol_putting_band_at(L, M, target):
     """A ``FREE_TOL`` whose band ``FREE_TOL * ||L||_F ||M||_F`` is exactly ``target``."""
-    norms = np.sqrt(_frobenius_sq(L) * _frobenius_sq(M))
-    tol = target / norms
+    tol = target / _band(L, M, 1.0)
     for _ in range(8):
-        if tol * norms == target:
+        if _band(L, M, tol) == target:
             return tol
-        tol = np.nextafter(tol, np.inf if tol * norms < target else -np.inf)
+        tol = np.nextafter(tol, np.inf if _band(L, M, tol) < target else -np.inf)
     pytest.skip("no float FREE_TOL puts the band exactly on d_t")
 
 
@@ -540,7 +573,7 @@ class TestLeanSignRule:
         # one ulp outside the band, d_t decides
         monkeypatch.setattr(distances, "FREE_TOL", np.nextafter(distances.FREE_TOL, 0.0))
         _, rho, free = _sign_rule(L, M)
-        if abs(d[t]) > distances.FREE_TOL * np.sqrt(_frobenius_sq(L) * _frobenius_sq(M)):
+        if abs(d[t]) > _band(L, M):
             assert not free[t] and rho[t] == side
         assert rho.tobytes() == _old_sign_rule_rho(L, M).tobytes()
 
@@ -659,6 +692,36 @@ class TestWeightedValue:
     def test_rejects_nonpositive_weights(self, reflected_pair):
         with pytest.raises(NonPositiveWeight):
             weighted_bicausal_value(*reflected_pair, [1.0, 0.0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_is_the_adapted_cost_of_the_weighted_factors(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        for mu, nu in _spec_pairs(dim, 710 + dim, count=2):
+            w = rng.uniform(0.5, 2.0, dim)
+            d = mu.mean - nu.mean
+            root_w = np.sqrt(w)[:, None]
+            want = float(d @ (w * d)) + _cov_sq(ADAPTED, root_w * mu.chol, root_w * nu.chol)
+            assert weighted_bicausal_value(mu, nu, w).hex() == want.hex()
+
+    def test_signs_are_those_of_optimal_sign(self, monkeypatch, tied_pair):
+        rules = []
+        original = distances._sign_rule
+
+        def recording(L, M):
+            rules.append(original(L, M))
+            return rules[-1]
+
+        monkeypatch.setattr(distances, "_sign_rule", recording)
+        # equal weights keep the tied pair's exact tie, diag(L^T W M)_1 = 0
+        cases = [(*tied_pair, [2.0, 2.0]), (*tied_pair, [0.5, 2.0])]
+        cases += [(mu, nu, [0.5, 1.0, 2.0]) for mu, nu in _spec_pairs(3, 720, count=2)]
+        for mu, nu, w in cases:
+            rules.clear()
+            weighted_bicausal_value(mu, nu, w)
+            assert len(rules) == 1
+            sign = optimal_sign(mu.chol, nu.chol, weights=w)
+            assert rules[0][1].tobytes() == sign.rho.tobytes()
+        assert optimal_sign(tied_pair[0].chol, tied_pair[1].chol, weights=[2.0, 2.0]).free_indices == (1,)
 
 
 class TestIncompleteness:

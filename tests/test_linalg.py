@@ -324,6 +324,14 @@ class TestGaussianSpec:
         assert aw2(echoed.mu, echoed.nu).value == 0.0
         np.testing.assert_allclose(echoed.mu.chol, L, rtol=1e-9)
 
+    @pytest.mark.parametrize(
+        "factor", [[[1e155]], [[1.0, 0.0, 0.0], [1e155, 1e155, 0.0], [1e155, -1e155, 1.0]]]
+    )
+    def test_from_cholesky_overflow_names_the_factor(self, factor):
+        # finite, valid factors whose L L^T overflows (the second to inf - inf)
+        with pytest.raises(NonFiniteValue, match=r"^cholesky factor is too large: L L\^T overflows$"):
+            GaussianSpec.from_cholesky(np.zeros(len(factor)), factor)
+
     def test_from_cholesky_pivot_gate_message(self):
         with pytest.raises(NotPositiveDefinite) as info:
             GaussianSpec.from_cholesky([0, 0], [[1e-7, 0], [0.5, 1]])
