@@ -129,6 +129,19 @@ def coupling_pi_p(mu: GaussianSpec, nu: GaussianSpec, rho) -> JointGaussianCoupl
     The joint law of ``(a + L eps^X, b + M eps^Y)`` where the standard normal
     noises satisfy ``Corr(eps^X_t, eps^Y_t) = rho_t`` and are independent
     across times.
+
+    The assembled ``2N x 2N`` covariance ``C`` is PSD by construction, and is
+    checked anyway: :class:`NumericalInconsistency` is raised when its least
+    eigenvalue is below ``-1e-9`` times its largest.  A Cholesky of
+    ``C + delta I`` with ``delta = 1e-9 / 2 * max(diag C) <= 1e-9 / 2 * lambda_max``
+    proves the pass: if it completes, ``C + delta I + dC`` is positive
+    definite with ``||dC||_2 <= n gamma_{n+1} ||C + delta I||_2``, ``n = 2N``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, §10.1),
+    so ``lambda_min(C) >= -delta - ||dC||_2 >= -1e-9 lambda_max`` whenever
+    ``n (n + 1) eps <= 5e-10`` (``eps = 2u``, which leaves room for the
+    second-order terms), i.e. up to ``n = 1500``.  Only when the
+    factorization fails, or ``n`` is larger, is the spectrum computed and the
+    test made on it; it alone decides the raise.
     """
     check_same_dim(mu, nu)
     r = np.array(as_correlations(rho, dim=mu.dim))  # not the caller's array
@@ -137,13 +150,36 @@ def coupling_pi_p(mu: GaussianSpec, nu: GaussianSpec, rho) -> JointGaussianCoupl
     cross = (L * r[None, :]) @ M.T
     # exactly symmetric: both laws store (S + S^T) / 2, and cross.T is exact
     cov = np.block([[mu.cov, cross], [cross.T, nu.cov]])
-    w = np.linalg.eigvalsh(cov)
-    if w[0] < -1e-9 * w[-1]:
-        raise NumericalInconsistency(
-            f"joint covariance not PSD: min eigenvalue {w[0]:.3e}"
-        )
+    if not _psd_certified(cov):
+        w = np.linalg.eigvalsh(cov)
+        if w[0] < -1e-9 * w[-1]:
+            raise NumericalInconsistency(
+                f"joint covariance not PSD: min eigenvalue {w[0]:.3e}"
+            )
     mean = np.concatenate([mu.mean, nu.mean])
     return JointGaussianCoupling(mean=mean, cov=cov, rho=r)
+
+
+def _psd_certified(C: np.ndarray) -> bool:
+    """Whether a Cholesky of ``C + 1e-9 / 2 * max(diag C) * I`` completes,
+    proving ``lambda_min(C) >= -1e-9 lambda_max(C)`` (see :func:`coupling_pi_p`).
+
+    The diagonal is shifted in place, not on a copy of ``C``, and written back
+    bit for bit.  Above the size where rounding alone could reach that bound,
+    nothing is proved and the answer is false.
+    """
+    n = C.shape[0]
+    if n * (n + 1) * np.finfo(float).eps > 5e-10:
+        return False
+    d = C.diagonal().copy()
+    C.flat[:: n + 1] += 0.5e-9 * d.max()
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        C.flat[:: n + 1] = d
+    return True
 
 
 def coupling_cost(mu: GaussianSpec, nu: GaussianSpec, rho) -> float:

@@ -396,9 +396,15 @@ def monte_carlo_cost(
             X.sum(axis=0, out=cost[i:j])
         else:
             np.ascontiguousarray(X.T).sum(axis=1, out=cost[i:j])
+    estimate = float(cost.mean())
+    # the spread taken on the costs scaled in place by one power of two: exact,
+    # so the standard error keeps its bits, and its squares stay finite above
+    # costs of 1e154
+    k = math.frexp(float(cost.max()))[1]
+    np.ldexp(cost, -k, out=cost)
     return MonteCarloEstimate(
-        estimate=float(cost.mean()),
-        standard_error=float(cost.std(ddof=1) / math.sqrt(n)),
+        estimate=estimate,
+        standard_error=math.ldexp(float(cost.std(ddof=1)), k) / math.sqrt(n),
     )
 
 

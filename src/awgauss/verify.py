@@ -99,7 +99,10 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
         ("aw_pushforward", aw_map(mu, nu).map),
     ):
         img = T.push(mu)
-        err = np.linalg.norm(img.cov - nu.cov) / max(np.linalg.norm(nu.cov), 1e-300)
+        # both norms on the covariances scaled by one power of two: exact, so the
+        # ratio keeps its bits, and the squares stay finite above entries of 1e154
+        k = -math.frexp(float(np.max(np.abs(nu.cov))))[1]
+        err = np.linalg.norm(np.ldexp(img.cov - nu.cov, k)) / np.linalg.norm(np.ldexp(nu.cov, k))
         # the mean is held 100x tighter, in the distance unit sqrt(S)
         err = max(err, 100.0 * float(np.linalg.norm(img.mean - nu.mean)) / math.sqrt(S))
         results.append(_result(name, pair, err, 1e-8))

@@ -238,6 +238,15 @@ class TestVerify:
         assert oracle[0]["passed"] is True
         assert oracle[0]["observed"] <= 0.05 * (1.0 + 4.0)
 
+    def test_full_far_from_unit_scale(self, tmp_path, capsys):
+        # covariances of 1e160: S and every closed form are finite, and so
+        # are the push-forward norms and the Monte Carlo spread verify reads
+        huge = {k: {**law, "cov": (1e160 * np.array(law["cov"])).tolist()} for k, law in REFLECTED.items()}
+        code, doc = _run(capsys, ["--seed", "7", "verify", _write(tmp_path, huge), "--level", "full"])
+        assert code == 0
+        assert doc["passed"] is True
+        assert all(math.isfinite(c["observed"]) for c in doc["checks"])
+
     def test_random_pairs(self, tmp_path, capsys):
         code, doc = _run(capsys, ["--seed", "7", "verify", "--random", "20"])
         assert code == 0

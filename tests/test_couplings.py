@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +195,8 @@ class TestCouplingPiP:
     @pytest.mark.parametrize("from_cholesky", [False, True])
     def test_joint_covariance_is_exactly_symmetric(self, dim, from_cholesky):
         # the laws store (S + S^T) / 2 and the lower-left block is cross.T,
-        # so the block matrix needs no averaging against its transpose
+        # so the block matrix needs no averaging against its transpose; the
+        # PSD certificate's diagonal shift is undone bit for bit
         mu, nu = _random_pair(dim, 90 + dim)
         if from_cholesky:
             mu, nu = (GaussianSpec.from_cholesky(s.mean, s.chol) for s in (mu, nu))
@@ -202,6 +204,8 @@ class TestCouplingPiP:
         for rho in (optimal_sign(mu.chol, nu.chol).rho, np.ones(dim), rng.uniform(-1.0, 1.0, dim)):
             cov = coupling_pi_p(mu, nu, rho).cov
             assert np.array_equal(cov, cov.T)
+            cross = (mu.chol * rho) @ nu.chol.T
+            assert np.array_equal(cov, np.block([[mu.cov, cross], [cross.T, nu.cov]]))
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_fault_check_is_relative_to_the_spectrum(self, monkeypatch, scale):
@@ -216,18 +220,83 @@ class TestCouplingPiP:
             w[0] = -1e-3 * w[-1]
             return w
 
+        def refused(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        # the laws are factored first; then the shifted Cholesky of the joint
+        # refuses, so the spectrum decides
+        mu.chol, nu.chol
+        monkeypatch.setattr(np.linalg, "cholesky", refused)
         monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
         with pytest.raises(NumericalInconsistency, match="joint covariance not PSD"):
             coupling_pi_p(mu, nu, [1.0, -1.0, 0.5])
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-    def test_no_false_alarm(self, dim, scale):
+    def test_fault_in_the_joint_itself(self, scale):
+        # |rho| = 1 makes the joint singular; a factor 1 + 1e-3 on the cross
+        # block (through a law whose factor is off by that much) makes it
+        # indefinite, far below -1e-9 of its largest eigenvalue
+        mu, nu = (GaussianSpec(s.mean, scale * s.cov) for s in _random_pair(3, 66))
+        mu.__dict__["chol"] = (1.0 + 1e-3) * mu.chol
+        rho = np.array([1.0, -1.0, 1.0])
+        cross = (mu.chol * rho) @ nu.chol.T
+        w = np.linalg.eigvalsh(np.block([[mu.cov, cross], [cross.T, nu.cov]]))
+        assert w[0] < -1e-9 * w[-1]
+        message = f"joint covariance not PSD: min eigenvalue {w[0]:.3e}"
+        with pytest.raises(NumericalInconsistency, match=f"^{re.escape(message)}$"):
+            coupling_pi_p(mu, nu, rho)
+
+    @pytest.mark.parametrize("n", [2, 6, 64, 512])
+    @pytest.mark.parametrize("ratio", [-1e-3, -2e-9, -1e-9, -5e-10, -1e-12, 0.0, 1e-12])
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_certificate_is_sound(self, n, ratio, scale):
+        # whenever the shifted Cholesky completes, the spectrum passes the
+        # test it stands in for; the matrix is left as it was, bit for bit
+        rng = np.random.default_rng(n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = scale * np.concatenate([[ratio], rng.uniform(0.0, 1.0, n - 2), [1.0]])
+        C = (Q * w) @ Q.T
+        C = (C + C.T) / 2.0
+        before = C.copy()
+        certified = couplings._psd_certified(C)
+        assert np.array_equal(C, before)
+        ev = np.linalg.eigvalsh(C)
+        if certified:
+            assert ev[0] >= -1e-9 * ev[-1]
+        if ratio >= 0.0:
+            assert certified
+        if ratio <= -1e-9:
+            assert not certified
+
+    def test_certificate_stops_where_rounding_could_reach_the_bound(self, monkeypatch):
+        # n (n + 1) eps <= 5e-10 holds up to n = 1500
+        assert couplings._psd_certified(np.eye(1500))
+
+        def unreachable(a):
+            raise AssertionError("no factorization above the size bound")
+
+        monkeypatch.setattr(np.linalg, "cholesky", unreachable)
+        assert not couplings._psd_certified(np.empty((1501, 1501)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 256])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12, 1e300])
+    def test_no_false_alarm(self, monkeypatch, dim, scale):
+        # a healthy joint is certified by the shifted Cholesky and never pays
+        # for its spectrum
+        eigvalsh = np.linalg.eigvalsh
+        spectra = []
+
+        def counted(a):
+            spectra.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         rng = np.random.default_rng(dim)
         for _ in range(10):
             mu, nu = (GaussianSpec(rng.standard_normal(dim), scale * random_spd(dim, rng)) for _ in range(2))
             for rho in (optimal_sign(mu.chol, nu.chol).rho, np.ones(dim), rng.uniform(-1.0, 1.0, dim)):
                 coupling_pi_p(mu, nu, rho)
+        assert spectra == []
 
 
 class TestCouplingCost:

@@ -370,6 +370,17 @@ class TestMonteCarlo:
         mc = monte_carlo_cost(mu, nu, [1.0, 1.0], 1_000_000, seed=2)
         assert abs(mc.estimate - 16.0) <= 4.0 * mc.standard_error
 
+    @pytest.mark.parametrize("rho", [[-1.0, 1.0], [0.3, -0.2]])
+    def test_far_from_unit_scale(self, reflected_pair, rho):
+        # covariances scaled by 2^530 (about 3.5e159): the costs scale by
+        # exactly that power of two, and so do estimate and standard error,
+        # although the squared spread of the costs would overflow
+        mu, nu = reflected_pair
+        unit = monte_carlo_cost(mu, nu, rho, 20_000, seed=4)
+        huge = monte_carlo_cost(*(GaussianSpec(s.mean, np.ldexp(s.cov, 530)) for s in (mu, nu)), rho, 20_000, seed=4)
+        assert huge.estimate == math.ldexp(unit.estimate, 530)
+        assert huge.standard_error == math.ldexp(unit.standard_error, 530)
+
     def test_seed_determinism(self, reflected_pair):
         mu, nu = reflected_pair
         a = monte_carlo_cost(mu, nu, [0.3, -0.2], 50_000, seed=3)
