@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import (
-    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _cross_svd, _derived, _same_factors,
+    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _derived, _polar, _same_factors,
     _sign_rule, _squared_distance, _weighted, as_weights,
 )
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
@@ -230,8 +230,8 @@ def _transport(mu: GaussianSpec, nu: GaussianSpec, kind: str) -> AffineTransport
     elif _same_factors(L, M):
         T = np.eye(mu.dim)  # Q = I, as in W2's product: exactly the identity
     else:
-        _, S, Vt = _derived(L, M, _cross_svd)
-        G = (M @ Vt.T) / np.sqrt(S)
+        MV, _, S = _derived(L, M, _polar)
+        G = MV / np.sqrt(S)
         # exactly symmetric: numpy takes an array times its own transpose by syrk
         T = G @ G.T
     return AffineTransportMap(offset=nu.mean - T @ mu.mean, matrix=T, kind=map_kind)
@@ -241,15 +241,18 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     """Optimal unconstrained transport map between Gaussian laws.
 
     ``x -> b + T (x - a)`` with ``T = M Q L^{-1}`` and ``Q = V U^T`` from the
-    SVD ``L^T M = U S V^T`` of the cached factors: ``Q`` minimizes
-    ``||L - M Q||_F`` over orthogonal matrices, and ``T`` equals
+    polar factorization ``L^T M = U S V^T`` of the cached factors: ``Q``
+    minimizes ``||L - M Q||_F`` over orthogonal matrices, and ``T`` equals
     ``A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``, symmetric positive
     definite (a convex gradient).  Since ``M V = L^{-T} U S``, ``T = G G^T``
-    with ``G = M V S^{-1/2}``: no solve, and the SVD is the one
-    :func:`~awgauss.distances.wasserstein2` takes of the same pair; bitwise
-    equal factors give exactly ``T = I``.  Each output coordinate generally
-    reads the whole input path, which is exactly what the bicausal constraint
-    forbids.
+    with ``G = M V S^{-1/2}``: no solve, and ``(M V, S)`` is the polar entry
+    :func:`~awgauss.distances.wasserstein2` reads for the same pair: one
+    ``eigh`` of the scaled ``X X^T``, ``X = L^T M``, where its least
+    eigenvalue is at least ``1e-3`` of its largest and ``N >= 16``, else the
+    SVD of ``X``; the guard keeps the push-forward error at the SVD's level.
+    Bitwise equal factors give exactly ``T = I``.  Each output coordinate
+    generally reads the whole input path, which is exactly what the bicausal
+    constraint forbids.
     """
     return _transport(mu, nu, WASSERSTEIN)
 

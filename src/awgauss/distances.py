@@ -81,9 +81,30 @@ def _frobenius_sq(X: np.ndarray):
 
 # Every covariance term reads only the Cholesky factors L, M: it is
 # ||L - M Q||_F^2 over one orthogonal Q, Q = I (KR), diag(rho) from the sign
-# rule (AW) or V U^T from the SVD L^T M = U S V^T (W), and equals
+# rule (AW) or the polar factor V U^T of X = L^T M = U S V^T (W), and equals
 # Tr A + Tr B - 2 r(L^T M) with r the trace, the l1 norm of the diagonal or
 # the nuclear norm.  A sum of squares cancels nothing: equal factors give 0.
+#
+# W's factorization comes from one symmetric eigh of X X^T = U S^2 U^T, with
+# V = X^T U S^{-1}, when that is accurate, and from the SVD of X otherwise.
+# Forming X X^T squares the condition number.  By Weyl's bound every computed
+# eigenvalue is within ||dH||_2 of the exact one, where dH (the rounding of the
+# product and eigh's backward error) is a modest multiple of u * S_max^2, with
+# u = 2^-53.  So S_min^2 carries a relative error of that multiple times
+# u * S_max^2 / S_min^2, and the columns of V lose orthogonality by as much.
+# The guard S_min^2 >= _POLAR_GUARD * S_max^2 caps u * S_max^2 / S_min^2 at
+# 1.1e-13, the 1e-13 floor verify holds every identity to, and is tested
+# before any square root, so only positive eigenvalues reach one.  Past it,
+# the SVD of X, whose error grows with S_max / S_min alone, is taken.  Below
+# _POLAR_MIN_DIM the SVD is taken at once: there each LAPACK call costs about
+# its fixed overhead, so the eigh saves nothing and a pair past the guard
+# would pay for both.
+
+#: the eigh route runs when the least eigenvalue of X X^T is at least this
+#: fraction of the largest: u / 1e-13 with u = 2^-53, rounded
+_POLAR_GUARD = 1e-3
+#: the least size that tries the eigh route
+_POLAR_MIN_DIM = 16
 
 
 def _sign_rule(L: np.ndarray, M: np.ndarray):
@@ -139,9 +160,28 @@ def _derived(L: np.ndarray, M: np.ndarray, compute):
     return data[compute]
 
 
-def _cross_svd(L: np.ndarray, M: np.ndarray):
-    """The SVD ``(U, S, Vt)`` of ``L^T M``: W2, the Brenier map and the W curve read one."""
-    return np.linalg.svd(L.T @ M)
+def _polar(L: np.ndarray, M: np.ndarray):
+    """The polar factorization ``(M V, U, S)`` of ``X = L^T M = U S V^T``: W2,
+    the Brenier map and the W curve of a pair read one.
+
+    From ``_POLAR_MIN_DIM`` on, ``X`` is scaled by ``2^-k``, ``k`` the
+    exponent of ``max|X|``, so the eigenvalues of ``X_s X_s^T`` are those of
+    ``X X^T`` times the even power ``2^-2k``: nothing overflows or falls to
+    subnormals, and ``S`` is their square root times ``2^k`` exactly.  Below
+    that size, or past the guard (see ``_POLAR_GUARD``), the factorization is
+    ``np.linalg.svd(X)``'s.  The order of ``S`` is the route's own; every
+    reader is invariant to it.
+    """
+    X = L.T @ M
+    if X.shape[0] >= _POLAR_MIN_DIM:
+        k = math.frexp(np.abs(X).max())[1]
+        Xs = np.ldexp(X, -k)
+        lam, U = np.linalg.eigh(Xs @ Xs.T)
+        if lam[0] >= _POLAR_GUARD * lam[-1]:
+            root = np.sqrt(lam)
+            return M @ ((Xs.T @ U) / root), U, np.ldexp(root, k)
+    U, S, Vt = np.linalg.svd(X)
+    return M @ Vt.T, U, S
 
 
 def _signed_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -158,16 +198,18 @@ def _same_factors(L: np.ndarray, M: np.ndarray) -> bool:
 
 
 def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``M Q`` with ``Q = V U^T`` from the SVD ``L^T M = U S V^T``, the
-    orthogonal ``Q`` that minimizes ``||L - M Q||_F``.
+    """``M Q = (M V) U^T`` with ``Q = V U^T`` the polar factor of
+    ``L^T M = U S V^T``, the orthogonal ``Q`` that minimizes
+    ``||L - M Q||_F``: one product on the pair's entry from :func:`_polar`,
+    whichever route (guarded ``eigh`` or SVD) filled it.
 
     Bitwise equal factors give ``M`` itself: ``Q = I`` is the exact polar
     factor of the positive definite ``L^T L``.
     """
     if _same_factors(L, M):
         return M
-    U, _, Vt = _derived(L, M, _cross_svd)
-    return M @ (Vt.T @ U.T)
+    MV, U, _ = _derived(L, M, _polar)
+    return MV @ U.T
 
 
 WASSERSTEIN = "wasserstein"
@@ -205,10 +247,14 @@ def bures_wasserstein(A, B) -> float:
     ``sqrt(Tr A + Tr B - 2 Tr (A^{1/2} B A^{1/2})^{1/2})``, the covariance
     part of the unconstrained quadratic transport between centered Gaussians.
     Computed as ``||L - M V U^T||_F`` from the Cholesky factors ``L, M`` and
-    the SVD ``L^T M = U S V^T``: ``V U^T`` minimizes ``||L - M Q||_F`` over
-    orthogonal ``Q``, and the minimum squared is the trace expression, as the
-    singular values of ``L^T M`` are the square roots of the eigenvalues of
-    ``A^{1/2} B A^{1/2}``.  A sum of squares, it has no cancellation:
+    the polar factorization ``L^T M = U S V^T``: ``V U^T`` minimizes
+    ``||L - M Q||_F`` over orthogonal ``Q``, and the minimum squared is the
+    trace expression, as the singular values of ``L^T M`` are the square
+    roots of the eigenvalues of ``A^{1/2} B A^{1/2}``.  ``U`` and ``S`` come
+    from one ``eigh`` of the scaled ``X X^T``, ``X = L^T M``, when its least
+    eigenvalue is at least ``1e-3`` of its largest (a bound from Weyl's
+    inequality, see the comment above ``_POLAR_GUARD``) and ``N >= 16``; from
+    the SVD of ``X`` otherwise.  A sum of squares, it has no cancellation:
     identical inputs give exactly zero.
     """
     return math.sqrt(_cov_sq(WASSERSTEIN, *_factor_pair(A, B)))
@@ -218,7 +264,9 @@ def wasserstein2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
     """Quadratic Wasserstein distance between Gaussian laws (mean/cov split).
 
     The covariance term is ``||L - M V U^T||_F^2`` on the factors ``L, M``
-    cached on the specs, with ``L^T M = U S V^T``; the SVD is shared with
+    cached on the specs, with ``L^T M = U S V^T`` from one guarded ``eigh`` or,
+    past the guard or below ``N = 16``, one SVD (see
+    :func:`bures_wasserstein`); the factorization is shared with
     :func:`~awgauss.couplings.brenier_map` and the Wasserstein curve of the
     same pair.
     """

@@ -60,7 +60,7 @@ def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=Non
     cov_tol = REL_TOL * traces  # <= tol, so large means cannot hide a covariance error
     results = []
     w2 = wasserstein2(mu, nu)
-    brenier = brenier_map(mu, nu)  # the SVD W2 just took: abw_symmetry's reversed pair replaces it
+    brenier = brenier_map(mu, nu)  # W2's polar entry: abw_symmetry's reversed pair replaces it
     k2 = kr2(mu, nu)
     a2 = aw2(mu, nu)
 

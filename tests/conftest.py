@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -55,3 +56,36 @@ def _out_of_place_monte_carlo(mu, nu, rho, n, seed, *, weights=None):
 def out_of_place_monte_carlo():
     """Reference for ``monte_carlo_cost``, with the same signature."""
     return _out_of_place_monte_carlo
+
+
+def _conditioned_law(dim, kappa, rng):
+    """A law whose covariance has eigenvalues log-spaced from 1 to ``kappa``
+    in a random orthonormal basis, and a standard normal mean."""
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    cov = (Q * np.logspace(0.0, math.log10(kappa), dim)) @ Q.T
+    return GaussianSpec(rng.standard_normal(dim), cov)
+
+
+@pytest.fixture
+def conditioned_law():
+    """``(dim, kappa, rng) -> GaussianSpec`` with ``kappa(cov) = kappa``.
+
+    A pair of such laws at ``dim >= 16`` takes W's eigh route at
+    ``kappa = 2`` and its SVD fallback at ``kappa = 1e8``.
+    """
+    return _conditioned_law
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the ``np.linalg`` cholesky, eigh and svd calls made after set-up."""
+    calls = collections.Counter()
+    for name in ("cholesky", "eigh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls

@@ -154,6 +154,119 @@ class TestWasserstein2:
             want = delta**2 * float(np.trace(E @ A @ E))
             assert _rel(wasserstein2(mu, nu).squared_value, want) <= bound, seed
 
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("delta, bound", [(1e-2, 2e-13), (1e-5, 1e-9), (1e-8, 1e-6)])
+    def test_exact_near_coincident_laws_on_the_eigh_route(self, conditioned_law, linalg_calls, dim, delta, bound):
+        # as above, on well-conditioned A (kappa = 2), so the pair takes the
+        # eigh route; the error left is again about eps / delta
+        for seed in range(5):
+            rng = np.random.default_rng([dim, seed])
+            A = conditioned_law(dim, 2.0, rng).cov
+            E = rng.standard_normal((dim, dim))
+            E = (E + E.T) / 2.0
+            T = np.eye(dim) + delta * E
+            mu, nu = GaussianSpec(np.zeros(dim), A), GaussianSpec(np.zeros(dim), T @ A @ T)
+            want = delta**2 * float(np.trace(E @ A @ E))
+            assert _rel(wasserstein2(mu, nu).squared_value, want) <= bound, seed
+        assert linalg_calls["svd"] == 0
+
+
+def _svd_w2_and_map(mu, nu):
+    """W2's covariance term and the Brenier matrix from a full SVD of ``L^T M``
+    on factors of the laws' covariances taken here."""
+    L, M = np.linalg.cholesky(mu.cov), np.linalg.cholesky(nu.cov)
+    U, S, Vt = np.linalg.svd(L.T @ M)
+    G = (M @ Vt.T) / np.sqrt(S)
+    return _frobenius_sq(L - M @ (Vt.T @ U.T)), G @ G.T
+
+
+def _pushforward_error(T, mu, nu):
+    return np.linalg.norm(T @ mu.cov @ T - nu.cov) / np.linalg.norm(nu.cov)
+
+
+_GRID = [(dim, kappa) for dim in (3, 8, 16, 64, 256) for kappa in (1.0, 1e2, 1e4, 1e8)]
+
+
+class TestPolarRoutes:
+    """W's polar factorization by either route (guarded eigh or SVD) against
+    an independent full SVD: N = 16 on is where the eigh route runs."""
+
+    @staticmethod
+    def _pair(conditioned_law, dim, kappa):
+        rng = np.random.default_rng([dim, int(math.log10(kappa))])
+        return conditioned_law(dim, kappa, rng), conditioned_law(dim, kappa, rng)
+
+    @pytest.mark.parametrize("dim, kappa", _GRID)
+    def test_w2_matches_svd(self, conditioned_law, dim, kappa):
+        mu, nu = self._pair(conditioned_law, dim, kappa)
+        want, _ = _svd_w2_and_map(mu, nu)
+        bound = 1e-13 * (mu._cov_trace + nu._cov_trace)
+        assert abs(wasserstein2(mu, nu).cov_term - want) <= bound
+
+    def test_pushforward_no_worse_than_svd(self, conditioned_law, linalg_calls):
+        # the worst push-forward error over the grid is no worse than the SVD
+        # route's; each map taken by the eigh route stays within the guard's 1e-13
+        worst = worst_svd = 0.0
+        eigh_route = 0
+        for dim, kappa in _GRID:
+            mu, nu = self._pair(conditioned_law, dim, kappa)
+            linalg_calls.clear()
+            error = _pushforward_error(brenier_map(mu, nu).matrix, mu, nu)
+            if linalg_calls["svd"] == 0:
+                eigh_route += 1
+                assert error <= 1e-13, (dim, kappa)
+            worst = max(worst, error)
+            worst_svd = max(worst_svd, _pushforward_error(_svd_w2_and_map(mu, nu)[1], mu, nu))
+        assert eigh_route >= 3 and worst <= worst_svd
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_far_from_unit_scale(self, conditioned_law, reflected_pair, scale, dim):
+        # X X^T of the raw factors overflows from about 1e154 on, loses digits
+        # to subnormals near 1e-160 and is zero at 1e-300; the scaled product
+        # keeps the map and W2 / scale of the unit-scale pair (N = 2 is
+        # README's reflected pair, on the SVD; N = 16 runs the eigh route)
+        if dim == 2:
+            mu, nu = reflected_pair
+        else:
+            mu, nu = (GaussianSpec(np.zeros(dim), law.cov) for law in self._pair(conditioned_law, dim, 2.0))
+        big_mu, big_nu = (GaussianSpec(law.mean, scale * law.cov) for law in (mu, nu))
+        assert _rel(wasserstein2(big_mu, big_nu).cov_term / scale, wasserstein2(mu, nu).cov_term) <= 1e-14
+        T = brenier_map(big_mu, big_nu).matrix
+        assert np.abs(T - brenier_map(mu, nu).matrix).max() <= 1e-14
+        assert _pushforward_error(T, mu, nu) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_equal_singular_values(self, dim):
+        # L^T M = 2 I: every basis is a singular basis, and the polar factor is I
+        mu, nu = GaussianSpec(np.zeros(dim), np.eye(dim)), GaussianSpec(np.zeros(dim), 4.0 * np.eye(dim))
+        assert wasserstein2(mu, nu).cov_term == dim
+        T = brenier_map(mu, nu).matrix
+        assert np.abs(T - 2.0 * np.eye(dim)).max() <= 4.5e-16  # 2 / sqrt(2) squared: one ulp of 2
+
+
+class TestOrthogonalInvariance:
+    """``w2(O mu, O nu) = w2(mu, nu)`` for a common orthogonal ``O``, on laws
+    factored afresh; ``aw2`` is not invariant, since ``O`` mixes times."""
+
+    @pytest.mark.parametrize("kappa", [2.0, 1e8], ids=["well", "ill"])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 64])
+    def test_w2_invariant_aw2_moves(self, conditioned_law, linalg_calls, dim, kappa):
+        rng = np.random.default_rng([dim, 7])
+        mu, nu = conditioned_law(dim, kappa, rng), conditioned_law(dim, kappa, rng)
+        O, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        turned = [GaussianSpec(O @ law.mean, O @ law.cov @ O.T) for law in (mu, nu)]
+        S = mu.mean @ mu.mean + nu.mean @ nu.mean + mu._cov_trace + nu._cov_trace
+        linalg_calls.clear()
+        residue = abs(wasserstein2(*turned).squared_value - wasserstein2(mu, nu).squared_value)
+        assert residue <= 1e-13 * S
+        # the turned pair's X is the pair's own up to orthogonal factors, so
+        # both take one route: eigh from N = 16 on below the guard, else SVD
+        fast = dim >= 16 and kappa == 2.0
+        assert linalg_calls["svd"] == (0 if fast else 2)
+        moved = abs(aw2(*turned).squared_value - aw2(mu, nu).squared_value)
+        assert moved > 1e3 * 1e-13 * S
+
 
 class TestClamp:
     """W2 of identical laws at any covariance scale: equal factors take the
@@ -174,8 +287,8 @@ def _copy(law):
     return GaussianSpec(law.mean, law.cov)
 
 
-def _svd_outputs(pair):
-    """Every output that reads a pair's SVD, each from the laws ``pair()`` returns."""
+def _polar_outputs(pair):
+    """Every output that reads a pair's polar entry, each from the laws ``pair()`` returns."""
     rep = wasserstein2(*pair())
     T = brenier_map(*pair())
     point = geodesic_point(*pair(), 0.5, "wasserstein")
@@ -195,28 +308,38 @@ def _sign_outputs(pair):
     )
 
 
-_RECORDED = pytest.mark.parametrize("outputs", [_svd_outputs, _sign_outputs], ids=["svd", "signs"])
+#: (dim, kappa, the eigh and svd calls one pair's W2 and Brenier map make): a
+#: well-conditioned pair takes the eigh route, an ill-conditioned one falls
+#: back past the guard, and a pair below _POLAR_MIN_DIM takes the SVD at once
+_ROUTES = pytest.mark.parametrize(
+    "dim, kappa, want",
+    [(16, 2.0, {"eigh": 1}), (16, 1e8, {"eigh": 1, "svd": 1}), (4, 2.0, {"svd": 1})],
+    ids=["eigh", "fallback", "small"],
+)
+_RECORDED = pytest.mark.parametrize("outputs", [_polar_outputs, _sign_outputs], ids=["polar", "signs"])
 
 
 class TestPairRecord:
-    """The results of one pair share its SVD of ``L^T M`` (W2, the Brenier map,
-    the W curve) and its sign triple (AW2, the sign selection, the AW map, the
-    coupling cost, the AW curve) through the last-pair record, keyed on the
-    laws' factors."""
+    """The results of one pair share its polar factorization of ``L^T M`` (W2,
+    the Brenier map, the W curve) and its sign triple (AW2, the sign
+    selection, the AW map, the coupling cost, the AW curve) through the
+    last-pair record, keyed on the laws' factors."""
 
-    def test_one_svd_for_distance_and_map(self, monkeypatch):
-        calls = []
-        original = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        mu, nu = _random_pair(4, 21)
+    @_ROUTES
+    def test_one_factorization_for_distance_and_map(self, conditioned_law, linalg_calls, dim, kappa, want):
+        rng = np.random.default_rng(21)
+        mu, nu = conditioned_law(dim, kappa, rng), conditioned_law(dim, kappa, rng)
         wasserstein2(mu, nu)
         brenier_map(mu, nu)
-        assert calls == [True]
+        assert linalg_calls == {"cholesky": 2, **want}
+
+    @pytest.mark.parametrize("kappa", [2.0, 1e8], ids=["eigh", "fallback"])
+    def test_hits_equal_fresh_pairs_bitwise_on_both_routes(self, conditioned_law, kappa):
+        rng = np.random.default_rng(33)
+        mu, nu = conditioned_law(16, kappa, rng), conditioned_law(16, kappa, rng)
+        fresh = _polar_outputs(lambda: (_copy(mu), _copy(nu)))
+        for _ in range(2):
+            assert _polar_outputs(lambda: (mu, nu)) == fresh
 
     def test_one_sign_rule_per_pair(self, monkeypatch):
         # the closed forms of a benchmark pair op, weighted value aside
@@ -598,30 +721,17 @@ class TestSpecLevelMatchesMatrixLevel:
                 with pytest.raises(NotPositiveDefinite):
                     fn(*pair)
 
-    def test_one_factorization_per_law(self, monkeypatch):
-        calls = {"cholesky": 0, "eigh": 0}
-
-        def counting(name):
-            original = getattr(np.linalg, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+    @_ROUTES
+    def test_one_factorization_per_law(self, conditioned_law, linalg_calls, dim, kappa, want):
         rng = np.random.default_rng(5)
-        mu = GaussianSpec(rng.standard_normal(4), random_spd(4, rng))
-        nu = GaussianSpec(rng.standard_normal(4), random_spd(4, rng))
+        mu, nu = conditioned_law(dim, kappa, rng), conditioned_law(dim, kappa, rng)
         aw2(mu, nu)
         kr2(mu, nu)
         wasserstein2(mu, nu)
-        weighted_bicausal_value(mu, nu, np.arange(1.0, 5.0))
+        weighted_bicausal_value(mu, nu, np.arange(1.0, dim + 1.0))
         aw_map(mu, nu)
         brenier_map(mu, nu)
-        assert calls == {"cholesky": 2, "eigh": 0}
+        assert linalg_calls == {"cholesky": 2, **want}
 
 
 class TestOrdering:

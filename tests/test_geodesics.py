@@ -170,21 +170,23 @@ class TestGeodesicCheck:
             assert rep.status == "ok"
             assert rep.abs_difference <= 1e-8
 
-    def test_builds_one_transport_map(self, monkeypatch):
-        # both points share one Q = V U^T; the endpoint distance reads the SVD
-        # the curve took, and the points' distance takes one of its own
-        calls = []
-        original = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("compute_uv", True))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        mu, nu = _random_pair(3, 7)
+    @pytest.mark.parametrize(
+        "dim, kappa, want",
+        [(16, 2.0, {"eigh": 2}), (16, 1e8, {"eigh": 2, "svd": 2}), (3, 2.0, {"svd": 2})],
+        ids=["eigh", "fallback", "small"],
+    )
+    def test_builds_one_transport_map(self, conditioned_law, linalg_calls, dim, kappa, want):
+        # both points share one Q = V U^T; the endpoint distance reads the
+        # factorization the curve took, and the points' distance takes one of
+        # its own: each pair one eigh, and past the guard one SVD as well;
+        # the two points' laws one Cholesky each
+        rng = np.random.default_rng(7)
+        mu, nu = conditioned_law(dim, kappa, rng), conditioned_law(dim, kappa, rng)
+        mu.chol, nu.chol
+        linalg_calls.clear()
         rep = geodesic_check(mu, nu, WASSERSTEIN, 0.2, 0.7)
         assert rep.status == "ok"
-        assert calls.count(True) == 2 and calls.count(False) == 0
+        assert linalg_calls == {"cholesky": 2, **want}
 
     def test_endpoint_product_formed_once(self, monkeypatch):
         # the endpoint distance reads the M V U^T the curve points were built
