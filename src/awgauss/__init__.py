@@ -5,6 +5,8 @@ curves, together with independent verification oracles (discrete dynamic
 programming, Monte Carlo, grid search) that everything is tested against.
 """
 
+from types import ModuleType as _ModuleType
+
 from .couplings import (
     AdaptedMapResult,
     AffineTransportMap,
@@ -90,63 +92,11 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | _ORACLE_NAMES)
 
-__all__ = [
-    "AdaptedMapResult",
-    "AffineTransportMap",
-    "AwGaussError",
-    "BadAngle",
-    "BadCorrelation",
-    "BadParameter",
-    "BadSplit",
-    "DimensionMismatch",
-    "DistanceReport",
-    "GEODESIC_KINDS",
-    "GaussianSpec",
-    "GeodesicCheckReport",
-    "GeodesicPoint",
-    "JointGaussianCoupling",
-    "MonteCarloEstimate",
-    "NonFiniteValue",
-    "NonPositiveWeight",
-    "NotPositiveDefinite",
-    "NotSymmetric",
-    "NumericalInconsistency",
-    "Problem",
-    "ProblemFormatError",
-    "RecursionCheckReport",
-    "RhoGridResult",
-    "SignSelection",
-    "TooLarge",
-    "UnsupportedDimension",
-    "ValueFunctionEval",
-    "abw_distance",
-    "aw2",
-    "aw_map",
-    "brenier_map",
-    "bures_wasserstein",
-    "cholesky",
-    "condition_coupling",
-    "conditional",
-    "coupling_cost",
-    "coupling_pi_p",
-    "dpp_recursion_check",
-    "dpp_solve_discrete",
-    "geodesic_check",
-    "geodesic_point",
-    "incompleteness_limit",
-    "incompleteness_member",
-    "kr2",
-    "kr_distance",
-    "kr_map",
-    "load_problem",
-    "monte_carlo_cost",
-    "optimal_sign",
-    "parse_problem",
-    "random_gaussian",
-    "random_spd",
-    "rho_grid_search",
-    "sample",
-    "value_function",
-    "wasserstein2",
-    "weighted_bicausal_value",
-]
+
+# every public name bound above, and the oracle names: the submodules that the
+# imports bind on the package are not part of its surface
+__all__ = sorted(
+    {name for name, value in list(globals().items())
+     if not name.startswith("_") and not isinstance(value, _ModuleType)}
+    | _ORACLE_NAMES
+)

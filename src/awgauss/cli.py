@@ -30,7 +30,7 @@ from .problems import ProblemFormatError, load_problem, problem_echo
 #: of its transport map
 _MAP_ALIASES = {
     name: kind
-    for kind, (short, _, map_kind) in _GEOMETRIES.items()
+    for kind, (short, _, map_kind, _) in _GEOMETRIES.items()
     for name in (short, kind, map_kind)
 }
 

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import (
-    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _derived, _polar, _same_factors,
-    _sign_rule, _squared_distance, _weighted, as_weights,
+    ADAPTED, KNOTHE_ROSENBLATT, WASSERSTEIN, _GEOMETRIES, _derived, _sign_rule, _squared_distance,
+    _weighted, as_weights,
 )
 from .errors import BadCorrelation, DimensionMismatch, NumericalInconsistency
-from .linalg import (
-    GaussianSpec, _rdiv, _strict_upper, as_cholesky_factor, as_vector, check_same_dim,
-    check_split, conditional,
-)
+from .linalg import GaussianSpec, as_cholesky_factor, as_vector, check_same_dim, check_split, conditional
 
 def as_correlations(rho, *, dim: int | None = None) -> np.ndarray:
     """Validate a per-time correlation vector with entries in [-1, 1]."""
@@ -217,23 +214,11 @@ class AffineTransportMap:
 
 
 def _transport(mu: GaussianSpec, nu: GaussianSpec, kind: str) -> AffineTransportMap:
-    """Transport map ``x -> b + T (x - a)``, ``T = M Q L^{-1}``, of geometry ``kind``.
-
-    KR and AW solve for ``T`` from their factor product ``M Q``; W builds it
-    as ``G G^T`` (see :func:`brenier_map`), which needs no solve.
-    """
+    """Transport map ``x -> b + T (x - a)``, ``T = M Q L^{-1}``, of geometry
+    ``kind``, with ``T`` from its row of ``distances._GEOMETRIES``."""
     check_same_dim(mu, nu)
-    _, product, map_kind = _GEOMETRIES[kind]
-    L, M = mu.chol, nu.chol
-    if kind != WASSERSTEIN:
-        T = _lower(_rdiv(product(L, M), L))
-    elif _same_factors(L, M):
-        T = np.eye(mu.dim)  # Q = I, as in W2's product: exactly the identity
-    else:
-        MV, _, S = _derived(L, M, _polar)
-        G = MV / np.sqrt(S)
-        # exactly symmetric: numpy takes an array times its own transpose by syrk
-        T = G @ G.T
+    _, _, map_kind, matrix = _GEOMETRIES[kind]
+    T = matrix(mu.chol, nu.chol)
     return AffineTransportMap(offset=nu.mean - T @ mu.mean, matrix=T, kind=map_kind)
 
 
@@ -246,21 +231,12 @@ def brenier_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:
     ``A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``, symmetric positive
     definite (a convex gradient).  Since ``M V = L^{-T} U S``, ``T = G G^T``
     with ``G = M V S^{-1/2}``: no solve, and ``(M V, S)`` is the polar entry
-    :func:`~awgauss.distances.wasserstein2` reads for the same pair: one
-    ``eigh`` of the scaled ``X X^T``, ``X = L^T M``, where its least
-    eigenvalue is at least ``1e-3`` of its largest and ``N >= 16``, else the
-    SVD of ``X``; the guard keeps the push-forward error at the SVD's level.
-    Bitwise equal factors give exactly ``T = I``.  Each output coordinate
-    generally reads the whole input path, which is exactly what the bicausal
-    constraint forbids.
+    :func:`~awgauss.distances.wasserstein2` reads for the same pair, by
+    either route of README's "The three geometries".  Bitwise equal factors
+    give exactly ``T = I``.  Each output coordinate generally reads the whole
+    input path, which is exactly what the bicausal constraint forbids.
     """
     return _transport(mu, nu, WASSERSTEIN)
-
-
-def _lower(X: np.ndarray) -> np.ndarray:
-    """``np.tril(X)`` through the cached mask: a new C-ordered array, which the
-    products of a map (offset, pushforward) read in that order."""
-    return np.where(_strict_upper(X.shape[0]), 0.0, X)
 
 
 def kr_map(mu: GaussianSpec, nu: GaussianSpec) -> AffineTransportMap:

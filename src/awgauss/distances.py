@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadAngle, BadParameter, DimensionMismatch, NonPositiveWeight
-from .linalg import GaussianSpec, _is_law_factor, as_vector, check_same_dim, cholesky
+from .linalg import GaussianSpec, _is_law_factor, _lower, _rdiv, as_vector, check_same_dim, cholesky
 
 #: |diag(L^T M)_t| at or below FREE_TOL * ||L||_F * ||M||_F counts as zero,
 #: i.e. the correlation at time t is a free (non-unique) direction
@@ -59,7 +59,11 @@ def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _factor_pair(A, B):
-    """Validated Cholesky factors of two SPD matrices of the same shape."""
+    """Validated Cholesky factors of two SPD matrices of the same shape; a
+    stack of matrices is refused."""
+    for X in (A, B):
+        if np.ndim(X) != 2:
+            raise DimensionMismatch(f"matrix must be two-dimensional, got shape {np.shape(X)}")
     L, M = cholesky(A), cholesky(B)
     if L.shape != M.shape:
         raise DimensionMismatch(f"matrix shapes differ: {L.shape} vs {M.shape}")
@@ -200,8 +204,7 @@ def _same_factors(L: np.ndarray, M: np.ndarray) -> bool:
 def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``M Q = (M V) U^T`` with ``Q = V U^T`` the polar factor of
     ``L^T M = U S V^T``, the orthogonal ``Q`` that minimizes
-    ``||L - M Q||_F``: one product on the pair's entry from :func:`_polar`,
-    whichever route (guarded ``eigh`` or SVD) filled it.
+    ``||L - M Q||_F``: one product on the pair's entry from :func:`_polar`.
 
     Bitwise equal factors give ``M`` itself: ``Q = I`` is the exact polar
     factor of the positive definite ``L^T L``.
@@ -212,17 +215,38 @@ def _brenier_product(L: np.ndarray, M: np.ndarray) -> np.ndarray:
     return MV @ U.T
 
 
+def _brenier_matrix(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The matrix ``G G^T``, ``G = M V S^{-1/2}``, of
+    :func:`~awgauss.couplings.brenier_map`, on the pair's entry from
+    :func:`_polar`; exactly ``I`` for bitwise equal factors."""
+    if _same_factors(L, M):
+        return np.eye(L.shape[0])  # Q = I, as in W2's product
+    MV, _, S = _derived(L, M, _polar)
+    G = MV / np.sqrt(S)
+    # exactly symmetric: numpy takes an array times its own transpose by syrk
+    return G @ G.T
+
+
 WASSERSTEIN = "wasserstein"
 KNOTHE_ROSENBLATT = "knothe_rosenblatt"
 ADAPTED = "adapted"
 
 #: kind -> (short name, factor product M Q from the factors (L, M), kind of its
-#: transport map).  The products call through the module attributes, so a function
-#: rebound there (a test double) is used; AW takes +1 on free indices (canonical).
+#: transport map, that map's matrix T = M Q L^{-1} from (L, M)).  KR and AW solve
+#: for their lower-triangular T.  The columns call through the module attributes,
+#: so a function rebound there (a test double) is used; AW takes +1 on free
+#: indices (canonical).
 _GEOMETRIES = {
-    WASSERSTEIN: ("w", lambda L, M: _brenier_product(L, M), "brenier"),  # Q = V U^T
-    KNOTHE_ROSENBLATT: ("kr", lambda L, M: M, "knothe_rosenblatt"),  # Q = I
-    ADAPTED: ("aw", lambda L, M: _derived(L, M, _signed_product), "adapted_wasserstein"),
+    WASSERSTEIN: (  # Q = V U^T
+        "w", lambda L, M: _brenier_product(L, M), "brenier", lambda L, M: _brenier_matrix(L, M),
+    ),
+    KNOTHE_ROSENBLATT: (  # Q = I
+        "kr", lambda L, M: M, "knothe_rosenblatt", lambda L, M: _lower(_rdiv(M, L)),
+    ),
+    ADAPTED: (
+        "aw", lambda L, M: _derived(L, M, _signed_product), "adapted_wasserstein",
+        lambda L, M: _lower(_rdiv(_derived(L, M, _signed_product), L)),
+    ),
 }
 
 
@@ -250,12 +274,9 @@ def bures_wasserstein(A, B) -> float:
     the polar factorization ``L^T M = U S V^T``: ``V U^T`` minimizes
     ``||L - M Q||_F`` over orthogonal ``Q``, and the minimum squared is the
     trace expression, as the singular values of ``L^T M`` are the square
-    roots of the eigenvalues of ``A^{1/2} B A^{1/2}``.  ``U`` and ``S`` come
-    from one ``eigh`` of the scaled ``X X^T``, ``X = L^T M``, when its least
-    eigenvalue is at least ``1e-3`` of its largest (a bound from Weyl's
-    inequality, see the comment above ``_POLAR_GUARD``) and ``N >= 16``; from
-    the SVD of ``X`` otherwise.  A sum of squares, it has no cancellation:
-    identical inputs give exactly zero.
+    roots of the eigenvalues of ``A^{1/2} B A^{1/2}``; README's "The three
+    geometries" gives the two routes to the factorization.  A sum of squares,
+    it has no cancellation: identical inputs give exactly zero.
     """
     return math.sqrt(_cov_sq(WASSERSTEIN, *_factor_pair(A, B)))
 
@@ -264,8 +285,7 @@ def wasserstein2(mu: GaussianSpec, nu: GaussianSpec) -> DistanceReport:
     """Quadratic Wasserstein distance between Gaussian laws (mean/cov split).
 
     The covariance term is ``||L - M V U^T||_F^2`` on the factors ``L, M``
-    cached on the specs, with ``L^T M = U S V^T`` from one guarded ``eigh`` or,
-    past the guard or below ``N = 16``, one SVD (see
+    cached on the specs, with ``L^T M = U S V^T`` (see
     :func:`bures_wasserstein`); the factorization is shared with
     :func:`~awgauss.couplings.brenier_map` and the Wasserstein curve of the
     same pair.

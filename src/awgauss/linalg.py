@@ -190,6 +190,12 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
+def _lower(X: np.ndarray) -> np.ndarray:
+    """``np.tril(X)`` through the cached mask: a new C-ordered array, which the
+    products of a map (offset, pushforward) read in that order."""
+    return np.where(_strict_upper(X.shape[0]), 0.0, X)
+
+
 #: id -> the factor of a law, which passed the factor gates when the law made
 #: it; weak, so it keeps no factor alive
 _GATED_FACTORS = weakref.WeakValueDictionary()
@@ -220,6 +226,8 @@ def as_cholesky_factor(L, *, name: str = "cholesky factor") -> np.ndarray:
         return M
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
+    if M.shape[0] < 1:
+        raise DimensionMismatch(f"{name} must have dimension >= 1")
     if not np.isfinite(M).all():
         raise NonFiniteValue(f"{name} contains non-finite entries")
     # a cached mask: np.triu would rebuild it on every call of optimal_sign

@@ -9,6 +9,7 @@ from scipy.linalg import solve_triangular
 import awgauss
 from awgauss import (
     BadCorrelation,
+    DimensionMismatch,
     GaussianSpec,
     NonFiniteValue,
     NonPositiveWeight,
@@ -74,6 +75,10 @@ class TestOptimalSign:
         assert not sign.unique
         assert sign.free_indices == (1,)
         np.testing.assert_array_equal(sign.rho, [1.0, 1.0])  # canonical tie-break
+
+    def test_rejects_empty_factors(self):
+        with pytest.raises(DimensionMismatch, match=r"^L must have dimension >= 1$"):
+            optimal_sign(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_equal_factors_all_positive(self):
         L = np.array([[2.0, 0.0], [1.0, 1.5]])

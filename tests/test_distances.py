@@ -107,6 +107,17 @@ class TestBuresWasserstein:
             bures_wasserstein(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("distance", [bures_wasserstein, kr_distance, abw_distance])
+@pytest.mark.parametrize("count", [1, 4])
+def test_matrix_distances_refuse_stacks(distance, count):
+    # cholesky accepts a stack; the matrix distances take two matrices
+    S = np.broadcast_to(np.array([[2.0, 1.0], [1.0, 3.0]]), (count, 2, 2))
+    with pytest.raises(DimensionMismatch, match=rf"got shape \({count}, 2, 2\)$"):
+        distance(S, S)
+    with pytest.raises(DimensionMismatch, match=rf"got shape \({count}, 2, 2\)$"):
+        distance(np.eye(2), S)
+
+
 class TestWasserstein2:
     def test_identical(self, reflected_pair):
         mu, _ = reflected_pair

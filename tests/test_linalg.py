@@ -181,6 +181,11 @@ class TestFactorValidation:
         with pytest.raises(NotPositiveDefinite):
             as_cholesky_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    def test_rejects_empty_factor(self):
+        # cholesky and GaussianSpec refuse N = 0 too
+        with pytest.raises(DimensionMismatch, match=r"^L must have dimension >= 1$"):
+            as_cholesky_factor(np.zeros((0, 0)), name="L")
+
 
 class TestSymmetrizationAtTheFloatLimit:
     """Symmetrization never overflows: a finite entry above half the largest

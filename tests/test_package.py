@@ -1,11 +1,13 @@
 """The package surface: lazily loaded oracle names, and scipy off every path but the oracles'."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -23,6 +25,39 @@ ORACLE_NAMES = [
     "rho_grid_search",
     "value_function",
 ]
+
+
+def test_all_lists_the_public_names_once():
+    names = awgauss.__all__
+    assert names == sorted(set(names))
+    assert not [name for name in names if name.startswith("_")]
+    assert set(ORACLE_NAMES) <= set(names)
+    assert not [name for name in names if isinstance(vars(awgauss).get(name), ModuleType)]
+    public = {
+        name for name, value in vars(awgauss).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(names) == public | set(ORACLE_NAMES)
+
+
+def _unused_private_imports(path: Path) -> list[str]:
+    """``_``-prefixed names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name.startswith("_") and name not in read)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(awgauss.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_private_import_goes_unused(path):
+    # a helper moved to another module leaves its old imports behind
+    assert _unused_private_imports(path) == []
 
 
 @pytest.mark.parametrize("name", awgauss.__all__)
