@@ -231,6 +231,8 @@ def cmd_geodesic(args) -> tuple[dict, int]:
 def cmd_verify(args) -> tuple[dict, int]:
     if (args.problem is None) == (args.random is None):
         raise ProblemFormatError("verify needs exactly one of a problem file or --random N")
+    if args.seed < 0:
+        raise ProblemFormatError(f"--seed needs a non-negative integer, got {args.seed}")
     if args.level == verify.FULL:
         # the oracles' own floors, refused before any check runs; the import
         # loads scipy, which only the full level's oracles need

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,120 +42,120 @@ class CheckResult:
 
 
 def _result(name, pair, observed, bound, note="") -> CheckResult:
-    return CheckResult(
-        name=name, pair=pair, passed=bool(observed <= bound), observed=float(observed),
-        bound=float(bound), note=note,
-    )
+    return CheckResult(name, pair, bool(observed <= bound), float(observed), float(bound), note)
 
 
-def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, oracles=None):
-    """Checks of one pair; with ``oracles=(grid_m, mc_samples)`` also the oracle checks,
-    which read the closed-form values computed here."""
-    with np.errstate(over="ignore"):
-        S = float(mu.mean @ mu.mean + nu.mean @ nu.mean + np.trace(mu.cov) + np.trace(nu.cov))
-    if not math.isfinite(S):
-        # an infinite floor would pass every check
-        raise NonFiniteValue(f"pair {pair}: second moment |a|^2 + |b|^2 + Tr A + Tr B overflows")
-    tol = REL_TOL * S
-    traces = mu.cov.trace() + nu.cov.trace()
-    cov_tol = REL_TOL * traces  # <= tol, so large means cannot hide a covariance error
-    results = []
-    w2 = wasserstein2(mu, nu)
-    brenier = brenier_map(mu, nu)  # W2's polar entry: abw_symmetry's reversed pair replaces it
-    k2 = kr2(mu, nu)
-    a2 = aw2(mu, nu)
+class _Pair:
+    """One pair's laws, float floors and closed forms, each computed once for its checks."""
 
-    # squared, so coincident laws compare W2's float noise with S, not its square root
-    results.append(_result("ordering_w2_le_aw2", pair, w2.squared_value - a2.squared_value, tol))
-    results.append(_result("ordering_aw2_le_kr2", pair, a2.squared_value - k2.squared_value, tol))
+    def __init__(self, mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, grid_m: int, mc_samples: int):
+        with np.errstate(over="ignore"):
+            S = float(mu.mean @ mu.mean + nu.mean @ nu.mean + np.trace(mu.cov) + np.trace(nu.cov))
+        if not math.isfinite(S):
+            # an infinite floor would pass every check
+            raise NonFiniteValue(f"pair {pair}: second moment |a|^2 + |b|^2 + Tr A + Tr B overflows")
+        self.mu, self.nu, self.rng, self.grid_m, self.mc_samples = mu, nu, rng, grid_m, mc_samples
+        self.S, self.tol, self.traces = S, REL_TOL * S, mu.cov.trace() + nu.cov.trace()
+        self.cov_tol = REL_TOL * self.traces  # <= tol, so large means cannot hide a covariance error
+        self.w2 = wasserstein2(mu, nu)
+        self.brenier = brenier_map(mu, nu)  # W2's polar entry: abw_symmetry's reversed pair replaces it
+        self.k2, self.a2 = kr2(mu, nu), aw2(mu, nu)
+        self.L, self.M = L, M = mu.chol, nu.chol
+        self.sign = _derived(L, M, _sign_selection)
+        # square roots as in abw_distance/kr_distance, so observed values match them
+        self.abw, self.kr_sq = math.sqrt(self.a2.cov_term), math.sqrt(self.k2.cov_term) ** 2
+        self.abw_reversed = math.sqrt(_cov_sq(ADAPTED, M, L))
+        self.ones = np.ones(mu.dim)
+        self.sign_cost, self.sync_cost = coupling_cost(mu, nu, self.sign.rho), coupling_cost(mu, nu, self.ones)
 
-    # adapted vs synchronous covariance identity through the factor diagonal
-    L, M = mu.chol, nu.chol
-    sign = _derived(L, M, _sign_selection)
-    diag = sign.diag
-    neg = float(np.sum(np.abs(diag[diag < 0.0])))
-    # square roots as in abw_distance/kr_distance, so observed values match them
-    abw = math.sqrt(a2.cov_term)
-    abw_sq = abw**2
-    kr_sq = math.sqrt(k2.cov_term) ** 2
-    results.append(_result("factor_diagonal_identity", pair, abs(abw_sq - (kr_sq - 4.0 * neg)), cov_tol))
-    trace_form = float(traces - 2.0 * np.trace(L.T @ M))
-    results.append(_result("kr_trace_identity", pair, abs(kr_sq - trace_form), cov_tol))
+    @cached_property
+    def oracle(self):  # it loads scipy, so it is imported only when an oracle runs
+        from . import oracle
+        return oracle
 
-    sym = abs(abw - math.sqrt(_cov_sq(ADAPTED, M, L)))
-    results.append(_result("abw_symmetry", pair, sym, REL_TOL * math.sqrt(S)))  # distance units
+    @cached_property
+    def monte_carlo(self):  # (rho, cost) of each Monte Carlo row
+        rho = self.rng.uniform(-1.0, 1.0, self.mu.dim)  # the one draw outside a row, before their seeds
+        fixed = (self.sign.rho, self.sign_cost), (self.ones, self.sync_cost)
+        return (*fixed, (rho, coupling_cost(self.mu, self.nu, rho)))
 
-    ones = np.ones(mu.dim)
-    sign_cost, sync_cost = coupling_cost(mu, nu, sign.rho), coupling_cost(mu, nu, ones)
-    results.append(_result("sign_rule_attains_aw2", pair, abs(sign_cost - a2.squared_value), tol))
-    results.append(_result("synchronous_cost_is_kr2", pair, abs(sync_cost - k2.squared_value), tol))
-    # one draw of all 32 rows (the generator advances as by 32 single draws)
-    costs = _coupling_cost(mu, nu, rng.uniform(-1.0, 1.0, (32, mu.dim)))
-    worst = np.max(a2.squared_value - costs, initial=0.0)
-    results.append(_result("random_rho_never_beats_sign_rule", pair, worst, tol))
-
-    for name, T in (
-        ("brenier_pushforward", brenier),
-        ("kr_pushforward", kr_map(mu, nu)),
-        ("aw_pushforward", aw_map(mu, nu).map),
-    ):
-        img = T.push(mu)
+    def push_error(self, T):
+        img = T.push(self.mu)
         # both norms on the covariances scaled by one power of two: exact, so the
         # ratio keeps its bits, and the squares stay finite above entries of 1e154
-        k = -math.frexp(float(np.max(np.abs(nu.cov))))[1]
-        err = np.linalg.norm(np.ldexp(img.cov - nu.cov, k)) / np.linalg.norm(np.ldexp(nu.cov, k))
+        k = -math.frexp(float(np.max(np.abs(self.nu.cov))))[1]
+        err = np.linalg.norm(np.ldexp(img.cov - self.nu.cov, k)) / np.linalg.norm(np.ldexp(self.nu.cov, k))
         # the mean is held 100x tighter, in the distance unit sqrt(S)
-        err = max(err, 100.0 * float(np.linalg.norm(img.mean - nu.mean)) / math.sqrt(S))
-        results.append(_result(name, pair, err, 1e-8))
+        return max(err, 100.0 * float(np.linalg.norm(img.mean - self.nu.mean)) / math.sqrt(self.S)), 1e-8
+
+    def block_gap(self):
+        worst, diag = 0.0, self.sign.diag
+        for t in range(1, self.mu.dim):
+            tail = np.sum(self.L[t:, t:] * self.M[t:, t:], axis=0)
+            worst = max(worst, float(np.max(np.abs(diag[t:] - tail))))
+        return worst, REL_TOL * float(np.max(np.abs(diag)))
+
+    def discrete_gap(self):
+        m = self.grid_m
+        if self.oracle._discrete_size_error(self.mu.dim, m) is not None:
+            return None
+        discrete = self.oracle.dpp_solve_discrete(self.mu, self.nu, m, seed=int(self.rng.integers(2**32)))
+        return abs(discrete - self.a2.squared_value), 0.05 * self.a2.squared_value + self.tol, f"m={m}"
+
+    def monte_carlo_gap(self, rho, cost):
+        mc = self.oracle.monte_carlo_cost(self.mu, self.nu, rho, self.mc_samples, int(self.rng.integers(2**32)))
+        return abs(mc.estimate - cost), max(4.0 * mc.standard_error, self.tol)
+
+    def recursion_gap(self):
+        worst = 0.0
+        for t in range(self.mu.dim):
+            x, y = self.rng.standard_normal((2, t))  # two pasts, drawn as two rows of t
+            rep = self.oracle.dpp_recursion_check(self.mu, self.nu, t, x, y)
+            worst = max(worst, rep.abs_error / (rep.value + self.S))
+        return worst, REL_TOL
+
+
+#: the per-pair checks, ``(name, level, check)``: ``check(c)`` gives ``(observed, bound[, note])``,
+#: or None where it cannot run.  Table order is the report order and the order of the draws from
+#: the run's generator; a check added later draws from its own ``default_rng([seed, pair, k])``.
+CHECKS = (
+    # squared, so coincident laws compare W2's float noise with S, not its square root
+    ("ordering_w2_le_aw2", FAST, lambda c: (c.w2.squared_value - c.a2.squared_value, c.tol)),
+    ("ordering_aw2_le_kr2", FAST, lambda c: (c.a2.squared_value - c.k2.squared_value, c.tol)),
+    # adapted vs synchronous covariance identity through the factor diagonal
+    ("factor_diagonal_identity", FAST, lambda c: (abs(
+        c.abw**2 - (c.kr_sq - 4.0 * float(np.sum(np.abs(c.sign.diag[c.sign.diag < 0.0]))))), c.cov_tol)),
+    ("kr_trace_identity", FAST, lambda c: (
+        abs(c.kr_sq - float(c.traces - 2.0 * np.trace(c.L.T @ c.M))), c.cov_tol)),
+    ("abw_symmetry", FAST, lambda c: (abs(c.abw - c.abw_reversed), REL_TOL * math.sqrt(c.S))),  # distance units
+    ("sign_rule_attains_aw2", FAST, lambda c: (abs(c.sign_cost - c.a2.squared_value), c.tol)),
+    ("synchronous_cost_is_kr2", FAST, lambda c: (abs(c.sync_cost - c.k2.squared_value), c.tol)),
+    # one draw of all 32 rows (the generator advances as by 32 single draws)
+    ("random_rho_never_beats_sign_rule", FAST, lambda c: (np.max(
+        c.a2.squared_value - _coupling_cost(c.mu, c.nu, c.rng.uniform(-1.0, 1.0, (32, c.mu.dim))),
+        initial=0.0), c.tol)),
+    ("brenier_pushforward", FAST, lambda c: c.push_error(c.brenier)),
+    ("kr_pushforward", FAST, lambda c: c.push_error(kr_map(c.mu, c.nu))),
+    ("aw_pushforward", FAST, lambda c: c.push_error(aw_map(c.mu, c.nu).map)),
     # a symmetric positive definite T pushing mu to nu (checked just above) is
     # the optimal map, so its cost E|X - TX|^2 = ||(I - T) L||_F^2 pins W2
-    brenier_cost = _frobenius_sq(L - brenier.matrix @ L)
-    results.append(_result("w2_is_brenier_cost", pair, abs(w2.cov_term - brenier_cost), cov_tol))
-
+    ("w2_is_brenier_cost", FAST, lambda c: (
+        abs(c.w2.cov_term - _frobenius_sq(c.L - c.brenier.matrix @ c.L)), c.cov_tol)),
     # block identity behind time consistency of the optimal coupling
-    worst = 0.0
-    for t in range(1, mu.dim):
-        tail = np.sum(L[t:, t:] * M[t:, t:], axis=0)
-        worst = max(worst, float(np.max(np.abs(diag[t:] - tail))))
-    if mu.dim > 1:
-        results.append(_result("conditional_block_identity", pair, worst, REL_TOL * float(np.max(np.abs(diag)))))
-    if oracles is None:
-        return results
+    ("conditional_block_identity", FAST, lambda c: c.block_gap() if c.mu.dim > 1 else None),
+    ("oracle_dpp_agreement", FULL, _Pair.discrete_gap),
+    ("monte_carlo_optimal_rho", FULL, lambda c: c.monte_carlo_gap(*c.monte_carlo[0])),
+    ("monte_carlo_synchronous", FULL, lambda c: c.monte_carlo_gap(*c.monte_carlo[1])),
+    ("monte_carlo_random_rho", FULL, lambda c: c.monte_carlo_gap(*c.monte_carlo[2])),
+    ("value_function_recursion", FULL, _Pair.recursion_gap),
+)
 
-    # the oracle layer loads scipy, so it is imported only when an oracle runs
-    from .oracle import _discrete_size_error, dpp_recursion_check, dpp_solve_discrete, monte_carlo_cost
 
-    grid_m, mc_samples = oracles
-    if _discrete_size_error(mu.dim, grid_m) is None:
-        discrete = dpp_solve_discrete(mu, nu, grid_m, seed=int(rng.integers(2**32)))
-        results.append(
-            _result(
-                "oracle_dpp_agreement",
-                pair,
-                abs(discrete - a2.squared_value),
-                0.05 * a2.squared_value + tol,
-                note=f"m={grid_m}",
-            )
-        )
-
-    # draw order: discrete seed, random rho, the three Monte Carlo seeds, recursion pasts
-    random_rho = rng.uniform(-1.0, 1.0, mu.dim)
-    for name, rho, cost in (
-        ("monte_carlo_optimal_rho", sign.rho, sign_cost),
-        ("monte_carlo_synchronous", ones, sync_cost),
-        ("monte_carlo_random_rho", random_rho, coupling_cost(mu, nu, random_rho)),
-    ):
-        mc = monte_carlo_cost(mu, nu, rho, mc_samples, int(rng.integers(2**32)))
-        results.append(_result(name, pair, abs(mc.estimate - cost), max(4.0 * mc.standard_error, tol)))
-
-    worst = 0.0
-    for t in range(mu.dim):
-        x = rng.standard_normal(t)
-        y = rng.standard_normal(t)
-        rep = dpp_recursion_check(mu, nu, t, x, y)
-        worst = max(worst, rep.abs_error / (rep.value + S))
-    results.append(_result("value_function_recursion", pair, worst, REL_TOL))
-    return results
+def _pair_checks(mu: GaussianSpec, nu: GaussianSpec, pair: int, rng, level=FAST, grid_m=100, mc_samples=100_000):
+    """The :data:`CHECKS` rows of ``level`` and the levels before it, on one pair."""
+    c, depth = _Pair(mu, nu, pair, rng, grid_m, mc_samples), LEVELS.index(level)
+    checked = ((name, check(c)) for name, row_level, check in CHECKS if LEVELS.index(row_level) <= depth)
+    return [_result(name, pair, *out) for name, out in checked if out is not None]
 
 
 #: matrix entries the triangle check draws and factors at once, so its memory
@@ -175,6 +176,13 @@ def _global_checks(dim: int, rng, triples: int = 200):
     return [_result("abw_triangle_inequality", -1, worst, 1e-9)]
 
 
+def _generator(seed: int):
+    # numpy refuses a negative seed with a ValueError, outside AwGaussError
+    if seed < 0:
+        raise BadParameter(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def run_verification(
     pairs: list[tuple[GaussianSpec, GaussianSpec]],
     *,
@@ -186,11 +194,10 @@ def run_verification(
     """Run the named check suite over the given problem pairs."""
     if level not in LEVELS:
         raise BadParameter(f"unknown verification level {level!r}; expected one of {LEVELS}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     results: list[CheckResult] = []
-    oracles = (grid_m, mc_samples) if level == FULL else None
     for idx, (mu, nu) in enumerate(pairs):
-        results.extend(_pair_checks(mu, nu, idx, rng, oracles))
+        results.extend(_pair_checks(mu, nu, idx, rng, level, grid_m, mc_samples))
     if pairs:
         results.extend(_global_checks(pairs[0][0].dim, rng))
     return results
@@ -198,7 +205,7 @@ def run_verification(
 
 def random_pairs(count: int, seed: int, dim: int = 2):
     """Seeded random non-degenerate pairs for the ``--random`` verify mode."""
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     return [
         (random_gaussian(dim, rng), random_gaussian(dim, rng)) for _ in range(count)
     ]

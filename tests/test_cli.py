@@ -280,6 +280,15 @@ class TestVerify:
         assert captured.out == ""
         assert "--dim needs at least 1 time step" in captured.err
 
+    def test_negative_seed_is_parse_error(self, tmp_path, capsys, monkeypatch):
+        # a bad command-line value, not numpy's ValueError exiting 1 as a failed verification
+        monkeypatch.setattr(verify, "_pair_checks", lambda *args: pytest.fail("a check ran"))
+        for source in (["--random", "1"], [_write(tmp_path, REFLECTED)]):
+            assert main(["--seed", "-1", "verify", *source]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--seed needs a non-negative integer, got -1" in captured.err
+
     def test_tolerance_scale_is_unrecognized(self, capsys):
         # bounds come from each pair's own second moments; no flag widens them
         with pytest.raises(SystemExit) as exc:

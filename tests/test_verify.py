@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,28 @@ def test_random_rho_draw_is_the_stream_of_single_draws(dim):
     assert np.array_equal(np.random.default_rng(5).uniform(-1.0, 1.0, (32, dim)), singles)
 
 
+@pytest.mark.parametrize("dim, grid_m", [(1, 100), (2, 100), (3, 100), (3, 16), (8, 100)])
+def test_full_level_draw_order(dim, grid_m):
+    # the full level draws from the run's generator, in order: the 32 random
+    # correlations, the discrete solver's seed where it runs, the Monte Carlo
+    # random rho, the three Monte Carlo seeds, and two pasts per recursion split
+    rng = np.random.default_rng(90 + dim)
+    mu, nu = random_gaussian(dim, rng), random_gaussian(dim, rng)
+    drawn = np.random.default_rng(6)
+    _pair_checks(mu, nu, 0, drawn, "full", grid_m, 1000)
+    reference = np.random.default_rng(6)
+    reference.uniform(-1.0, 1.0, (32, dim))
+    if _discrete_size_error(dim, grid_m) is None:
+        reference.integers(2**32)
+    reference.uniform(-1.0, 1.0, dim)
+    for _ in range(3):
+        reference.integers(2**32)
+    for t in range(dim):
+        reference.standard_normal(t)
+        reference.standard_normal(t)
+    assert drawn.bit_generator.state == reference.bit_generator.state
+
+
 @pytest.mark.parametrize("dim, grid_m", [(2, 100), (2, 5000), (3, 16), (3, 100), (4, 3)])
 def test_discrete_oracle_runs_exactly_when_the_solver_accepts_the_size(dim, grid_m):
     rng = np.random.default_rng(50 + dim)
@@ -145,7 +168,7 @@ def test_discrete_oracle_runs_exactly_when_the_solver_accepts_the_size(dim, grid
         accepted = False
         assert str(exc) == _discrete_size_error(dim, grid_m)
     assert accepted == (_discrete_size_error(dim, grid_m) is None)
-    results = _pair_checks(mu, nu, 0, np.random.default_rng(0), (grid_m, 1000))
+    results = _pair_checks(mu, nu, 0, np.random.default_rng(0), "full", grid_m, 1000)
     assert [r.name for r in results].count("oracle_dpp_agreement") == int(accepted)
 
 
@@ -159,6 +182,46 @@ def test_full_report_unchanged_against_the_out_of_place_monte_carlo(
     expected = [r.as_doc() for r in run_verification(pairs, level="full", seed=9)]
     assert got == expected
     assert sum(d["name"].startswith("monte_carlo_") for d in got) == 3 * len(pairs)
+
+
+_CBI, _DPP = "conditional_block_identity", "oracle_dpp_agreement"
+
+
+@pytest.mark.parametrize(
+    "dim, level, skipped",
+    [(1, "fast", {_CBI}), (1, "full", {_CBI}), (2, "fast", set()), (2, "full", set()),
+     (3, "fast", set()), (3, "full", {_DPP})],
+)
+def test_report_names_are_the_table_rows(dim, level, skipped):
+    # each row of the level, in table order; the only rows left out are the
+    # block identity at N = 1 and, at the default grid, the discrete oracle at N = 3
+    rows = [name for name, row_level, _ in verify.CHECKS if level == "full" or row_level == "fast"]
+    results = run_verification(random_pairs(2, 20 + dim, dim=dim), level=level, seed=3, mc_samples=1000)
+    kept = [name for name in rows if name not in skipped]
+    assert [r.name for r in results] == kept + kept + ["abw_triangle_inequality"]
+    assert [r.pair for r in results] == [0] * len(kept) + [1] * len(kept) + [-1]
+    assert len(set(rows)) == len(rows)
+
+
+def test_readme_lists_the_checks_in_table_order():
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| check | level | bound |") + 2
+    rows = lines[start:lines.index("", start)]
+    names = [row.split("`")[1] for row in rows]
+    assert names == [name for name, _, _ in verify.CHECKS] + ["abw_triangle_inequality"]
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_negative_seed_is_a_domain_error_before_any_draw(monkeypatch, seed):
+    # numpy's own refusal is a ValueError, outside AwGaussError
+    pairs = random_pairs(1, 0)
+    monkeypatch.setattr(verify, "_pair_checks", lambda *args: pytest.fail("a check ran"))
+    monkeypatch.setattr(verify, "random_gaussian", lambda *args: pytest.fail("a law was drawn"))
+    for call in (lambda: run_verification(pairs, seed=seed), lambda: random_pairs(1, seed)):
+        with pytest.raises(BadParameter) as info:
+            call()
+        assert isinstance(info.value, AwGaussError)
+        assert str(info.value) == f"seed must be a non-negative integer, got {seed}"
 
 
 def test_unknown_level_is_a_domain_error():
